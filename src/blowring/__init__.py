@@ -29,7 +29,7 @@ from .blowup import (
     membership,
     unit_comparison,
 )
-from .poisson import PoissonChart, bracket_closure_check, poisson_bracket, standard_chart, torus_chart
+from .poisson import PoissonChart, bracket_closure_check, standard_chart, torus_chart
 from .centralizer import (
     ParametricMatrix,
     SliceModel,
@@ -42,7 +42,7 @@ from .centralizer import (
     verify_parametrization,
 )
 from .kring import KRing, VClass, kring_multiply, subring_filter, v_dictionary
-from .heisenberg import HeisenbergElement, heisenberg_mul, poisson_from_q
+from .heisenberg import HeisenbergElement, poisson_from_q
 from .homology import BMRing, bm_ring_ops
 from .fusion import FusionExpansion, consistency_sweep, fusion_table
 from .reports import Config, Report

@@ -111,10 +111,6 @@ class GroupAction:
         self.cap = cap
         self._elements: list[Substitution] | None = None
 
-    @classmethod
-    def from_tables(cls, tables: Iterable[Mapping[str, str]], cap: int = GROUP_CAP) -> "GroupAction":
-        return cls([Substitution.parse(t) for t in tables], cap)
-
     def elements(self) -> list[Substitution]:
         if self._elements is None:
             seen = {IDENTITY}
@@ -136,9 +132,6 @@ class GroupAction:
     def order(self) -> int:
         return len(self.elements())
 
-    def act(self, g: Substitution, f: LaurentPoly) -> LaurentPoly:
-        return g(f)
-
     def reynolds(self, f: LaurentPoly) -> LaurentPoly:
         """The invariant projector (1/|G|) * sum_g g(f)."""
         els = self.elements()
@@ -149,10 +142,6 @@ class GroupAction:
 
     def is_invariant(self, f: LaurentPoly) -> bool:
         return all(s(f) == f for s in self.generators)
-
-
-def act(g: Substitution, f: LaurentPoly) -> LaurentPoly:
-    return g(f)
 
 
 def invariant_generators(

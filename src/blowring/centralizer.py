@@ -15,7 +15,14 @@ from typing import Iterable, Sequence
 from .actions import GroupAction, Substitution, invariant_generators
 from .blowup import BlowupAlgebra, membership
 from .fractions import RingFraction, RingMap, split_for_ring
-from .groebner import Ideal, PolyRing
+from .groebner import (
+    DEFAULT_TERM_CAP,
+    Elimination,
+    Ideal,
+    laurent_ambient_vars,
+    polynomialize,
+    unit_relations,
+)
 from .poly import LaurentPoly, parse_poly
 from .rings import PresentedRing
 from .scalars import ONE, gauss
@@ -376,27 +383,13 @@ class SliceModel:
 
 MODEL_NAMES = ("S", "S-prime", "A2-Gg", "A2-gg")
 
-_ALIASES = {
-    "s": "S",
-    "s'": "S-prime",
-    "s-prime": "S-prime",
-    "sprime": "S-prime",
-    "a2-gg": "A2-gg",
-    "a2_gg": "A2-gg",
-    "a2-Gg": "A2-Gg",
-}
-
 
 def model(name: str) -> SliceModel:
     """The hypersurface/affine-plane models with their defining data."""
-    canon = {"S": "S", "S-prime": "S-prime", "A2-Gg": "A2-Gg", "A2-gg": "A2-gg"}.get(name)
-    if canon is None:
-        canon = _ALIASES.get(name.lower())
-    if canon is None and name in ("A2-GG",):
-        canon = "A2-Gg"
-    if canon is None:
+    build = _MODELS.get(name)
+    if build is None:
         raise CentralizerError(f"unknown model {name!r}; expected one of {MODEL_NAMES}")
-    return _MODELS[canon]()
+    return build()
 
 
 def _model_S() -> SliceModel:
@@ -482,8 +475,10 @@ def _model_A2_gg() -> SliceModel:
 _MODELS = {
     "S": _model_S,
     "S-prime": _model_S_prime,
+    "S'": _model_S_prime,
     "A2-Gg": _model_A2_Gg,
     "A2-gg": _model_A2_gg,
+    "a2_gg": _model_A2_gg,
 }
 
 
@@ -514,8 +509,6 @@ def kernel_of_map(
     Clears denominators, inverts them with an auxiliary variable
     (saturation), and eliminates the target ring variables.
     """
-    from .groebner import laurent_ambient_vars, polynomialize, unit_relations
-
     source_coords = tuple(source_coords)
     ambient = laurent_ambient_vars(laurent_vars, poly_vars)
     gens: list[LaurentPoly] = [g for g in unit_relations(laurent_vars)]
@@ -531,23 +524,16 @@ def kernel_of_map(
         if key not in seen and not den.is_monomial():
             seen.add(key)
             den_product = den_product * den
-    vars = ambient + tuple(source_coords)
-    if not den_product.is_monomial():
-        aux = "_w0"
-        vars = (aux,) + vars
-        gens.append(LaurentPoly.var(aux) * den_product - 1)
-    ring = PolyRing(vars)
-    ideal = Ideal(ring, [g.with_vars(vars) for g in gens])
-    return ideal.eliminate(source_coords)
+    invert = [] if den_product.is_monomial() else [den_product]
+    return Elimination(ambient, source_coords, gens, invert, DEFAULT_TERM_CAP).kept()
 
 
 def model_kernel(m: SliceModel) -> Ideal:
     return kernel_of_map(m.parametrization, m.coords, m.source_laurent, m.source_poly)
 
 
-def kernel_matches_relation(m: SliceModel) -> bool:
-    """Reduced-basis comparison of the computed kernel with the model relation."""
-    kernel = model_kernel(m)
+def kernel_matches_relation(m: SliceModel, kernel: Ideal) -> bool:
+    """Reduced-basis comparison of a computed kernel with the model relation."""
     gb = kernel.groebner()
     if m.relation is None:
         return not gb

@@ -12,16 +12,23 @@ import json
 import sys
 
 from .blowup import BlowupError, FLAVORS, build_blowup, membership
-from .centralizer import CentralizerError, MODEL_NAMES, isogeny_invariants, model, model_kernel
+from .centralizer import (
+    CentralizerError,
+    MODEL_NAMES,
+    isogeny_invariants,
+    kernel_matches_relation,
+    model,
+    model_kernel,
+)
 from .fractions import parse_fraction
 from .fusion import FusionRangeError, fusion_table
-from .groebner import Ideal, ResourceLimitError
+from .groebner import ResourceLimitError
 from .kring import KRing, KRingError
 from .poisson import standard_chart
 from .poly import PolyParseError, parse_poly
 from .reports import Config
 from .rootdata import sl2
-from .verify import SUITES, run_suite
+from .verify import CORRUPTION_TARGETS, SUITES, run_suite
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -86,6 +93,13 @@ def make_config(args) -> Config:
 
 
 def cmd_verify(args, cfg: Config) -> int:
+    if args.corrupt is not None:
+        target_suite = CORRUPTION_TARGETS.get(args.corrupt)
+        _require(
+            target_suite is not None and args.suite in (target_suite, "all"),
+            f"corruption target {args.corrupt!r} is not in suite {args.suite!r}; "
+            f"expected one of {sorted(CORRUPTION_TARGETS)}",
+        )
     report = run_suite(args.suite, cfg, corrupt=args.corrupt)
     print(report.render(cfg.output))
     return EXIT_OK if report.ok else EXIT_FAIL
@@ -123,17 +137,15 @@ def _compute_kernel(args, cfg) -> int:
     _require(args.model, "kernel requires --model")
     m = model(args.model)
     kernel = model_kernel(m)
-    gb = kernel.groebner()
-    if m.relation is not None:
-        expected = Ideal(kernel.ring, [m.relation.with_vars(kernel.ring.vars)])
-        if [str(g) for g in gb] == [str(g) for g in expected.groebner()]:
-            _emit(cfg, m.relation_str, {"model": m.name, "kernel": [m.relation_str]})
-            return EXIT_OK
-        _emit(cfg, "; ".join(str(g) for g in gb), {"model": m.name, "kernel": [str(g) for g in gb]})
-        return EXIT_FAIL
-    body = "; ".join(str(g) for g in gb) or "0"
-    _emit(cfg, body, {"model": m.name, "kernel": [str(g) for g in gb]})
-    return EXIT_OK
+    gens = [str(g) for g in kernel.groebner()]
+    if m.relation is None:
+        _emit(cfg, "; ".join(gens) or "0", {"model": m.name, "kernel": gens})
+        return EXIT_OK
+    if kernel_matches_relation(m, kernel):
+        _emit(cfg, m.relation_str, {"model": m.name, "kernel": [m.relation_str]})
+        return EXIT_OK
+    _emit(cfg, "; ".join(gens), {"model": m.name, "kernel": gens})
+    return EXIT_FAIL
 
 
 def _compute_invariants(args, cfg) -> int:

@@ -184,10 +184,6 @@ class RingMap:
             if frac.den.is_zero():
                 raise ZeroDivisionError(f"zero denominator in image of {name!r}")
 
-    @property
-    def source_vars(self) -> tuple[str, ...]:
-        return tuple(self.images)
-
     def __call__(self, f: LaurentPoly) -> RingFraction:
         total = RingFraction.of(LaurentPoly.zero())
         for exps, coeff in f.terms.items():
@@ -201,9 +197,6 @@ class RingMap:
                     part = part * self.images[v] ** e
             total = total + part
         return total
-
-    def apply_fraction(self, frac: RingFraction) -> RingFraction:
-        return self(frac.num) / self(frac.den)
 
     def __repr__(self):
         body = ", ".join(f"{k} -> {v}" for k, v in self.images.items())

@@ -84,12 +84,6 @@ class PolyRing:
                 raise OrderMismatchError("negative exponent in polynomial-ring element")
         return g
 
-    def elimination_order(self, drop: Sequence[str]) -> BlockOrder:
-        drop_set = set(drop)
-        first = [i for i, v in enumerate(self.vars) if v in drop_set]
-        second = [i for i, v in enumerate(self.vars) if v not in drop_set]
-        return BlockOrder([first, second])
-
     def __repr__(self):
         return f"PolyRing({self.vars!r}, {self.order!r})"
 
@@ -400,35 +394,20 @@ class Ideal:
     def is_zero(self) -> bool:
         return not any(g.terms for g in self.groebner())
 
-    def with_order(self, order) -> "Ideal":
-        return Ideal(PolyRing(self.ring.vars, order), self.gens, self.term_cap)
-
     def eliminate(self, keep: Sequence[str]) -> "Ideal":
         """Intersection with the subring in the kept variables."""
-        keep = tuple(keep)
-        drop = [v for v in self.ring.vars if v not in set(keep)]
-        elim_ring = PolyRing(self.ring.vars, self.ring.elimination_order(drop))
-        gb = buchberger(self.gens, elim_ring, self.term_cap)
-        keep_ring = PolyRing([v for v in self.ring.vars if v in set(keep)])
-        kept_polys = []
-        for g in gb:
-            if set(g.support_vars()) <= set(keep):
-                kept_polys.append(g.with_vars(keep_ring.vars))
-        return Ideal(keep_ring, kept_polys, self.term_cap)
+        keep = set(keep)
+        drop = [v for v in self.ring.vars if v not in keep]
+        kept = [v for v in self.ring.vars if v in keep]
+        return Elimination(drop, kept, self.gens, (), self.term_cap).kept()
 
     def saturate(self, f: LaurentPoly) -> "Ideal":
-        """I : f^infинity via the inverse-variable trick."""
+        """I : f^infinity via an auxiliary inverse of f."""
         f = self.ring.align(f)
         if not f.terms:
             raise ValueError("cannot saturate by zero")
-        aux = _fresh_var(self.ring.vars)
-        big_ring = PolyRing(self.ring.vars + (aux,))
-        lifted = [g.with_vars(big_ring.vars) for g in self.gens]
-        w = LaurentPoly.var(aux)
-        lifted.append(f.with_vars(big_ring.vars) * w - 1)
-        big = Ideal(big_ring, lifted, self.term_cap)
-        inner = big.eliminate(self.ring.vars)
-        return Ideal(self.ring, [g.with_vars(self.ring.vars) for g in inner.gens], self.term_cap)
+        inner = Elimination((), self.ring.vars, self.gens, [f], self.term_cap).kept()
+        return Ideal(self.ring, inner.gens, self.term_cap)
 
     def __repr__(self):
         gens = ", ".join(str(g) for g in self.gens[:4])
@@ -436,13 +415,54 @@ class Ideal:
         return f"<Ideal ({gens}{more}) in {self.ring.vars}>"
 
 
-def _fresh_var(taken: Sequence[str]) -> str:
-    base = "_w"
-    k = 0
-    names = set(taken)
-    while f"{base}{k}" in names:
-        k += 1
-    return f"{base}{k}"
+class Elimination(Ideal):
+    """An ideal in ``aux + drop + keep`` under the block order that puts ``aux + drop`` first.
+
+    Each polynomial f in ``invert`` gets an auxiliary variable w, named fresh
+    against every name in play, with f*w - 1 adjoined. An element whose normal
+    form is free of the first block lies in the kept ring modulo the ideal,
+    and that normal form is its certificate (the tag-variable method of
+    Shannon and Sweedler).
+    """
+
+    def __init__(
+        self,
+        drop: Sequence[str],
+        keep: Sequence[str],
+        gens: Sequence[LaurentPoly],
+        invert: Sequence[LaurentPoly],
+        term_cap: int,
+    ):
+        drop, keep = tuple(drop), tuple(keep)
+        both = set(drop) & set(keep)
+        if both:
+            raise ValueError(f"variables {sorted(both)} are both kept and eliminated")
+        taken = set(drop + keep).union(*(g.vars for g in gens), *(f.vars for f in invert))
+        self.aux = tuple(_fresh_names(taken, len(invert)))
+        self.keep = keep
+        vars = self.aux + drop + keep
+        n = len(vars) - len(keep)
+        ring = PolyRing(vars, BlockOrder([range(n), range(n, len(vars))]))
+        inverses = [f * LaurentPoly.var(w) - 1 for f, w in zip(invert, self.aux)]
+        super().__init__(ring, list(gens) + inverses, term_cap)
+
+    def certificate(self, f: LaurentPoly) -> LaurentPoly | None:
+        """The normal form of f in the kept variables, or None if it needs eliminated ones."""
+        r = self.normal_form(f)
+        if set(r.support_vars()) <= set(self.keep):
+            return r.with_vars(self.keep)
+        return None
+
+    def kept(self) -> Ideal:
+        """The elimination ideal, in the ring of the kept variables."""
+        keep = set(self.keep)
+        gens = [g.with_vars(self.keep) for g in self.groebner() if set(g.support_vars()) <= keep]
+        return Ideal(PolyRing(self.keep), gens, self.term_cap)
+
+
+def _fresh_names(taken: set[str], count: int) -> list[str]:
+    names = (f"_w{k}" for k in range(len(taken) + count))
+    return [v for v in names if v not in taken][:count]
 
 
 # -- Laurent-ring support --------------------------------------------------------

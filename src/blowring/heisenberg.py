@@ -146,10 +146,6 @@ class HeisenbergElement:
     __repr__ = __str__
 
 
-def heisenberg_mul(u: HeisenbergElement, v: HeisenbergElement) -> HeisenbergElement:
-    return u * v
-
-
 def commutes_at_q1(u: HeisenbergElement, v: HeisenbergElement) -> bool:
     """Every commutator coefficient is divisible by q - 1 (vanishes at q = 1)."""
     return all(not c for c in (u.commutator(v)).specialize_q1().values())

@@ -224,19 +224,6 @@ class KRing:
         return checks
 
 
-_DEFAULT_KRING: "KRing | None" = None
-
-
-def presentation_convert(value, src: str, dst: str, ring: "KRing | None" = None):
-    """Convert an element between the three presentations (module-level surface)."""
-    global _DEFAULT_KRING
-    if ring is None:
-        if _DEFAULT_KRING is None:
-            _DEFAULT_KRING = KRing()
-        ring = _DEFAULT_KRING
-    return ring.convert(value, src, dst)
-
-
 def dictionary_rederivations() -> dict[str, bool]:
     """Re-derive the consequence entries from the generator equations."""
     a, b, c = (parse_poly(s, vars=("a", "b", "c")) for s in "abc")

@@ -89,10 +89,6 @@ class PoissonChart:
         )
 
 
-def poisson_bracket(f, g, chart: PoissonChart) -> RingFraction:
-    return chart.bracket(f, g)
-
-
 def standard_chart(B: BlowupAlgebra, kappa: GaussianRational | int = 1) -> PoissonChart:
     """The rank-1 chart pairing the two factors.
 

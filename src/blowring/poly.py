@@ -213,16 +213,9 @@ class LaurentPoly:
         """Max over terms of sum |e_i|; the Laurent analogue of total degree."""
         return max((sum(abs(e) for e in exps) for exps in self.terms), default=0)
 
-    def degree_in(self, name: str) -> int:
-        i = self.vars.index(name)
-        return max((exps[i] for exps in self.terms), default=0)
-
     def min_degree_in(self, name: str) -> int:
         i = self.vars.index(name)
         return min((exps[i] for exps in self.terms), default=0)
-
-    def term_count(self) -> int:
-        return len(self.terms)
 
     # -- equality -----------------------------------------------------------
 

@@ -13,13 +13,12 @@ STATUSES = ("pass", "fail", "skipped-ambiguous")
 class Config:
     degree_bound: int = 4
     term_cap: int = 200_000
-    random_checks: int = 20
     seed: int = 0
     output: str = "text"
     timing: bool = False
 
     def __post_init__(self):
-        if self.degree_bound < 1 or self.term_cap < 1 or self.random_checks < 0:
+        if self.degree_bound < 1 or self.term_cap < 1:
             raise ValueError("bounds must be positive")
         if self.output not in ("json", "csv", "text"):
             raise ValueError(f"unknown output format {self.output!r}")
@@ -28,7 +27,7 @@ class Config:
     def from_file(cls, path: str) -> "Config":
         with open(path) as fh:
             data = json.load(fh)
-        allowed = {"degree_bound", "term_cap", "random_checks", "seed", "output", "timing"}
+        allowed = {"degree_bound", "term_cap", "seed", "output", "timing"}
         unknown = set(data) - allowed
         if unknown:
             raise ValueError(f"unknown config keys {sorted(unknown)}")

@@ -12,10 +12,9 @@ from typing import Mapping, Sequence
 
 from .groebner import (
     DEFAULT_TERM_CAP,
-    BlockOrder,
+    Elimination,
     Ideal,
     PolyRing,
-    inv_name,
     laurent_ambient_vars,
     polynomialize,
     unit_relations,
@@ -59,9 +58,6 @@ class PresentedRing:
     def equal(self, f: LaurentPoly, g: LaurentPoly) -> bool:
         return self.nf(f - g).is_zero()
 
-    def in_ideal(self, f: LaurentPoly) -> bool:
-        return self.nf(f).is_zero()
-
     # -- saturation -----------------------------------------------------------
 
     def saturated(self, by: LaurentPoly) -> "PresentedRing":
@@ -85,23 +81,14 @@ class PresentedRing:
         block, so a w-free normal form of num*w^power IS the certificate.
         """
         den_key = str(self.to_ambient(den))
-        ctx = self._division_cache.get(den_key)
-        if ctx is None:
-            aux = "_inv0"
-            vars = (aux,) + self.ambient_vars
-            ring = PolyRing(vars, BlockOrder([(0,), tuple(range(1, len(vars)))]))
-            gens = [g.with_vars(vars) for g in self.ideal.gens]
-            gens.append(
-                self.to_ambient(den).with_vars(vars) * LaurentPoly.var(aux) - 1
+        elim = self._division_cache.get(den_key)
+        if elim is None:
+            elim = Elimination(
+                (), self.ambient_vars, self.ideal.gens, [self.to_ambient(den)], self.term_cap
             )
-            ctx = (aux, Ideal(ring, gens, self.term_cap))
-            self._division_cache[den_key] = ctx
-        aux, ideal = ctx
-        w = LaurentPoly.var(aux) ** power
-        r = ideal.normal_form(self.to_ambient(num).with_vars(ideal.ring.vars) * w)
-        if aux in r.support_vars():
-            return None
-        return r.with_vars(self.ambient_vars)
+            self._division_cache[den_key] = elim
+        (w,) = elim.aux
+        return elim.certificate(self.to_ambient(num) * LaurentPoly.var(w) ** power)
 
     # -- subalgebra membership ---------------------------------------------------
 
@@ -147,19 +134,13 @@ class SubalgebraOracle:
             raise ValueError("one tag per generator required")
         self.ring = ring
         self.tags = tuple(tags)
-        vars = ring.ambient_vars + self.tags
-        n_amb = len(ring.ambient_vars)
-        order = BlockOrder([tuple(range(n_amb)), tuple(range(n_amb, len(vars)))])
-        gens = [g.with_vars(vars) for g in ring.ideal.gens]
+        gens = list(ring.ideal.gens)
         for tag, gen in zip(self.tags, generators):
-            gens.append(LaurentPoly.var(tag).with_vars(vars) - ring.to_ambient(gen).with_vars(vars))
-        self.ideal = Ideal(PolyRing(vars, order), gens, ring.term_cap)
+            gens.append(LaurentPoly.var(tag) - ring.to_ambient(gen))
+        self.ideal = Elimination(ring.ambient_vars, self.tags, gens, (), ring.term_cap)
 
     def rewrite(self, f: LaurentPoly) -> LaurentPoly | None:
-        r = self.ideal.normal_form(self.ring.to_ambient(f).with_vars(self.ideal.ring.vars))
-        if set(r.support_vars()) <= set(self.tags):
-            return r.with_vars(self.tags)
-        return None
+        return self.ideal.certificate(self.ring.to_ambient(f))
 
     def contains(self, f: LaurentPoly) -> bool:
         return self.rewrite(f) is not None

@@ -150,7 +150,8 @@ class TestParametrizations:
 class TestKernels:
     @pytest.mark.parametrize("name", MODEL_NAMES)
     def test_kernel_matches_model_relation(self, name):
-        assert kernel_matches_relation(model(name))
+        m = model(name)
+        assert kernel_matches_relation(m, model_kernel(m))
 
     def test_S_kernel_generator(self):
         gb = model_kernel(model("S")).groebner()
@@ -172,6 +173,13 @@ class TestKernels:
         K = kernel_of_map(RingMap(images), ("p", "q"), (), ("s",))
         want = Ideal(K.ring, [parse_poly("p^3 - q^2").with_vars(K.ring.vars)])
         assert [str(g) for g in K.groebner()] == [str(g) for g in want.groebner()]
+
+    def test_kernel_of_map_with_auxiliary_looking_variable(self):
+        # p = _w0/(s+1) and q = s are algebraically independent
+        w0, s = LaurentPoly.gens("_w0 s")
+        images = {"p": RingFraction(w0, s + 1), "q": RingFraction(s)}
+        K = kernel_of_map(RingMap(images), ("p", "q"), (), ("_w0", "s"))
+        assert K.is_zero()
 
 
 class TestBlowupMatch:

@@ -140,6 +140,16 @@ class TestVerify:
         code, _, _ = run_cli(capsys, "verify", "everything")
         assert code == EXIT_ERROR
 
+    @pytest.mark.parametrize(
+        "suite, target",
+        [("kring", "typo"), ("homology", "blowup:GG"), ("centralizer", "centralizer:A2-gg")],
+    )
+    def test_corruption_target_outside_suite_rejected(self, capsys, suite, target):
+        code, out, err = run_cli(capsys, "verify", suite, "--corrupt", target)
+        assert code == EXIT_ERROR
+        assert not out
+        assert repr(target) in err
+
 
 class TestConfig:
     def test_config_file(self, capsys, tmp_path):
@@ -154,6 +164,13 @@ class TestConfig:
         cfg.write_text(json.dumps({"bogus_key": 1}))
         code, _, err = run_cli(capsys, "--config", str(cfg), "verify", "steinberg")
         assert code == EXIT_ERROR
+
+    def test_removed_random_checks_key_exit_two(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"random_checks": 0}))
+        code, _, err = run_cli(capsys, "--config", str(cfg), "verify", "steinberg")
+        assert code == EXIT_ERROR
+        assert "random_checks" in err
 
     def test_invalid_bound_exit_two(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 
 from blowring.groebner import (
+    DEFAULT_TERM_CAP,
     BlockOrder,
+    Elimination,
     GrevLex,
     Ideal,
     PolyRing,
@@ -14,6 +16,7 @@ from blowring.groebner import (
     unit_relations,
 )
 from blowring.poly import LaurentPoly, parse_poly
+from blowring.rings import PresentedRing
 
 from conftest import random_gaussian
 
@@ -129,6 +132,34 @@ class TestElimination:
             assert got == [str(g) for g in want.groebner()]
         else:
             assert got == []
+
+
+class TestEliminationPrimitive:
+    def test_name_kept_and_eliminated_rejected(self):
+        # a tag equal to an ambient variable would claim y in k[x^2]
+        x = LaurentPoly.var("x")
+        ring = PresentedRing((), ("x", "y"))
+        with pytest.raises(ValueError):
+            ring.subalgebra_oracle([x**2], ["y"])
+
+    def test_auxiliary_names_are_fresh(self):
+        w0 = LaurentPoly.var("_w0")
+        E = Elimination((), ("_w0",), [], [w0 + 1], DEFAULT_TERM_CAP)
+        assert E.aux == ("_w1",)
+        assert E.certificate(w0 * LaurentPoly.var("_w1")) is None
+        assert E.kept().is_zero()
+
+    @pytest.mark.parametrize("power", [1, 2])
+    def test_divide_certificate_remultiplies(self, power):
+        # a ring variable may carry any name an auxiliary inverse could have had
+        ring = PresentedRing(("x",), ("_inv0", "_w0"))
+        x, u, w = LaurentPoly.gens("x _inv0 _w0")
+        den = x - 1
+        num = (u + w) * (x**2 - 1) ** power
+        cert = ring.divide(num, den, power)
+        assert cert is not None
+        assert ring.nf(num - den**power * cert).is_zero()
+        assert ring.divide(u, den) is None
 
 
 class TestSaturation:

@@ -132,10 +132,8 @@ class TestPresentations:
         loc = K.convert(a, "abstract", "localized")
         assert K.convert(loc, "localized", "blowup") == K.abstract_to_blowup(a)
 
-    def test_module_level_convert(self, K):
-        from blowring.kring import presentation_convert
-
-        assert presentation_convert(a, "abstract", "localized", K) == RingFraction(z + z**-1)
+    def test_convert_to_localized(self, K):
+        assert K.convert(a, "abstract", "localized") == RingFraction(z + z**-1)
 
     def test_non_invariant_rejected(self, K):
         with pytest.raises(KRingError):
