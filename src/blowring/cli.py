@@ -65,9 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     c = sub.add_parser("compute", help="run one computation", parents=[common])
-    c.add_argument(
-        "task", choices=("kernel", "invariants", "multiply", "bracket", "membership", "table", "closure")
-    )
+    c.add_argument("task", choices=tuple(COMPUTE_TASKS))
     c.add_argument("args", nargs="*", help="positional element arguments")
     c.add_argument("--model", choices=MODEL_NAMES + ("S'",))
     c.add_argument("--flavor", choices=FLAVORS)
@@ -106,22 +104,7 @@ def cmd_verify(args, cfg: Config) -> int:
 
 
 def cmd_compute(args, cfg: Config) -> int:
-    task = args.task
-    if task == "kernel":
-        return _compute_kernel(args, cfg)
-    if task == "invariants":
-        return _compute_invariants(args, cfg)
-    if task == "multiply":
-        return _compute_multiply(args, cfg)
-    if task == "bracket":
-        return _compute_bracket(args, cfg)
-    if task == "membership":
-        return _compute_membership(args, cfg)
-    if task == "table":
-        return _compute_table(args, cfg)
-    if task == "closure":
-        return _compute_closure(args, cfg)
-    raise AssertionError(task)
+    return COMPUTE_TASKS[args.task](args, cfg)
 
 
 def _require(condition, message):
@@ -252,6 +235,17 @@ def _compute_table(args, cfg) -> int:
     }
     _emit(cfg, str(exp), payload)
     return EXIT_OK
+
+
+COMPUTE_TASKS = {
+    "kernel": _compute_kernel,
+    "invariants": _compute_invariants,
+    "multiply": _compute_multiply,
+    "bracket": _compute_bracket,
+    "membership": _compute_membership,
+    "table": _compute_table,
+    "closure": _compute_closure,
+}
 
 
 def _emit(cfg: Config, text: str, payload: dict):

@@ -45,9 +45,19 @@ class CheckRecord:
 @dataclass
 class Report:
     suite: str
+    timing: bool = False
     checks: list[CheckRecord] = field(default_factory=list)
 
-    def add(self, name: str, passed: bool, witness: str = "", ms: int = 0):
+    def check(self, name: str, thunk):
+        """Run ``thunk`` now and record its verdict, timing only the thunk.
+
+        The thunk returns ``passed`` or ``(passed, witness)``. ``ms`` stays 0
+        unless timing is on; an exception propagates and records nothing.
+        """
+        start = time.perf_counter()
+        result = thunk()
+        ms = int(round((time.perf_counter() - start) * 1000)) if self.timing else 0
+        passed, witness = result if isinstance(result, tuple) else (result, "")
         self.checks.append(CheckRecord(name, "pass" if passed else "fail", witness, ms))
 
     def add_skipped(self, name: str, witness: str = ""):
@@ -101,17 +111,3 @@ class Report:
         if output == "csv":
             return self.to_csv()
         return self.to_text()
-
-
-class Stopwatch:
-    """Millisecond timer; reports zero unless timing was requested."""
-
-    def __init__(self, enabled: bool):
-        self.enabled = enabled
-        self._start = time.monotonic()
-
-    def lap(self) -> int:
-        now = time.monotonic()
-        ms = int(round((now - self._start) * 1000))
-        self._start = now
-        return ms if self.enabled else 0

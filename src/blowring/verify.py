@@ -1,8 +1,12 @@
 """Verification suites: every machine-checkable identity behind the library.
 
-Each suite returns a Report with one record per check. An optional corruption
-target perturbs a single relation coefficient so the exit-code contract can
-be exercised end to end; corrupted runs must fail.
+Each suite returns a Report with one record per check. A check is a name and
+a thunk passed to ``Report.check``, which runs the thunk at once; with timing
+on, a record's ``ms`` covers that thunk's own work only. Set-up that several
+checks share (blow-ups, bracket closures, the K-ring) runs in the suite body
+and is charged to no check. An optional corruption target perturbs a single
+relation coefficient so the exit-code contract can be exercised end to end;
+corrupted runs must fail.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from .homology import BMRing, bm_ring_ops
 from .kring import KRing, abstract_ring, dictionary_rederivations, kring_multiply, subring_filter, v_dictionary
 from .poisson import bracket_closure_check, torus_chart
 from .poly import LaurentPoly, parse_poly
-from .reports import Config, Report, Stopwatch
+from .reports import Config, Report
 from .rings import PresentedRing
 from .rootdata import sl2
 from .scalars import gauss
@@ -55,8 +59,7 @@ def _corrupted_blowup(datum, flavor):
 
 def suite_blowup(cfg: Config, corrupt: str | None = None) -> Report:
     datum = sl2()
-    report = Report("blowup")
-    watch = Stopwatch(cfg.timing)
+    report = Report("blowup", cfg.timing)
     for flavor in FLAVORS:
         if corrupt == f"blowup:{flavor}":
             B = _corrupted_blowup(datum, flavor)
@@ -64,125 +67,108 @@ def suite_blowup(cfg: Config, corrupt: str | None = None) -> Report:
             B = build_blowup(datum, flavor, term_cap=cfg.term_cap)
         (tname,) = B.gen_names
         rel = LaurentPoly.var(tname) * B.walls[0] - B.numerators[0]
-        report.add(
-            f"{flavor}: defining relation reduces to zero",
-            B.ring.nf(rel).is_zero(),
-            ms=watch.lap(),
-        )
-        frac = RingFraction(B.numerators[0], B.walls[0])
-        res = membership(frac, B)
-        report.add(
-            f"{flavor}: wall-ratio generator is a member",
-            res.member,
-            witness=str(res.certificate),
-            ms=watch.lap(),
-        )
+        report.check(f"{flavor}: defining relation reduces to zero", lambda: B.ring.nf(rel).is_zero())
+
+        def wall_ratio():
+            res = membership(RingFraction(B.numerators[0], B.walls[0]), B)
+            return res.member, str(res.certificate)
+
+        report.check(f"{flavor}: wall-ratio generator is a member", wall_ratio)
         closure = bracket_closure_check(B)
         for p in closure.pairs:
-            report.add(
+            report.check(
                 f"{flavor}: bracket closure {{{p.f}, {p.g}}}",
-                p.member,
-                witness=f"bracket {p.bracket}; certificate {p.certificate}",
-                ms=watch.lap(),
+                lambda: (p.member, f"bracket {p.bracket}; certificate {p.certificate}"),
             )
-        report.add(
-            f"{flavor}: Jacobi sums vanish on generator triples",
-            all(j.zero for j in closure.jacobi),
-            ms=watch.lap(),
+        report.check(
+            f"{flavor}: Jacobi sums vanish on generator triples", lambda: all(j.zero for j in closure.jacobi)
         )
-        disc = discriminant(datum, flavor)
         if B.weyl is not None:
-            inv = all(s(disc) == disc for s in B.weyl.generators)
-            report.add(f"{flavor}: discriminant is W-invariant", inv, ms=watch.lap())
+
+            def w_invariant():
+                disc = discriminant(datum, flavor)
+                return all(s(disc) == disc for s in B.weyl.generators)
+
+            report.check(f"{flavor}: discriminant is W-invariant", w_invariant)
 
     B = build_blowup(datum, "GG")
     y, z = LaurentPoly.gens("y z")
-    m1 = membership(RingFraction(y**2 - 1, z**2 - 1), B)
-    report.add(
-        "GG: (y^2-1)/(z^2-1) member with certificate T",
-        m1.member and m1.certificate == LaurentPoly.var("T"),
-        witness=str(m1.certificate),
-        ms=watch.lap(),
-    )
-    m2 = membership(RingFraction(y - y**-1, z - z**-1), B)
-    valid = False
-    if m2.member:
-        diff = B.ring.nf(
-            B.ring.to_ambient(y - y**-1)
-            - B.ring.to_ambient(z - z**-1) * m2.certificate
-        )
-        valid = diff.is_zero()
-    report.add(
-        "GG: (y-y^-1)/(z-z^-1) member, certificate verifies",
-        m2.member and valid,
-        witness=str(m2.certificate),
-        ms=watch.lap(),
-    )
-    m3 = membership(RingFraction(LaurentPoly.const(1), z**2 - 1), B)
-    report.add("GG: 1/(z^2-1) is not a member", not m3.member, ms=watch.lap())
 
-    report.add("Denis condition: z^2 passes", denis_check(parse_poly("z^2"), datum, "GGv"), ms=watch.lap())
-    report.add("Denis condition: z fails", not denis_check(parse_poly("z"), datum, "GGv"), ms=watch.lap())
-    report.add(
-        "Denis condition: 2*z^2 fails", not denis_check(parse_poly("2*z^2"), datum, "GGv"), ms=watch.lap()
+    def certificate_is_T():
+        m = membership(RingFraction(y**2 - 1, z**2 - 1), B)
+        return m.member and m.certificate == LaurentPoly.var("T"), str(m.certificate)
+
+    def certificate_verifies():
+        m = membership(RingFraction(y - y**-1, z - z**-1), B)
+        valid = m.member and B.ring.nf(
+            B.ring.to_ambient(y - y**-1) - B.ring.to_ambient(z - z**-1) * m.certificate
+        ).is_zero()
+        return valid, str(m.certificate)
+
+    report.check("GG: (y^2-1)/(z^2-1) member with certificate T", certificate_is_T)
+    report.check("GG: (y-y^-1)/(z-z^-1) member, certificate verifies", certificate_verifies)
+    report.check(
+        "GG: 1/(z^2-1) is not a member",
+        lambda: not membership(RingFraction(LaurentPoly.const(1), z**2 - 1), B).member,
     )
+    report.check("Denis condition: z^2 passes", lambda: denis_check(parse_poly("z^2"), datum, "GGv"))
+    report.check("Denis condition: z fails", lambda: not denis_check(parse_poly("z"), datum, "GGv"))
+    report.check("Denis condition: 2*z^2 fails", lambda: not denis_check(parse_poly("2*z^2"), datum, "GGv"))
     return report
 
 
 def suite_centralizer(cfg: Config, corrupt: str | None = None) -> Report:
     datum = sl2()
-    report = Report("centralizer")
-    watch = Stopwatch(cfg.timing)
+    report = Report("centralizer", cfg.timing)
     for flavor in ("group", "lie"):
         M = cz.kostant_slice(flavor)
         for constraint in ("none", "traceless"):
-            basis = cz.commutant_basis(M, constraint)
-            family = cz.closed_form_commutant_family(flavor, constraint)
-            commute = all(b.commutator(M).is_zero() for b in basis)
-            span = cz.same_span(basis, family)
-            report.add(
-                f"commutant {flavor}/{constraint}: solves [X,M]=0 and spans the closed-form family",
-                commute and span,
-                witness=str(basis),
-                ms=watch.lap(),
+
+            def commutant():
+                basis = cz.commutant_basis(M, constraint)
+                family = cz.closed_form_commutant_family(flavor, constraint)
+                commute = all(b.commutator(M).is_zero() for b in basis)
+                return commute and cz.same_span(basis, family), str(basis)
+
+            report.check(
+                f"commutant {flavor}/{constraint}: solves [X,M]=0 and spans the closed-form family", commutant
             )
-    det_g = cz.general_commutant_element("group").det()
-    report.add(
+
+    def det_is(flavor, want):
+        det = cz.general_commutant_element(flavor).det()
+        return det == parse_poly(want), str(det)
+
+    report.check(
         "det of general group commutant rewrites the cubic relation",
-        det_g == parse_poly("a*b*c - b^2 - c^2"),
-        witness=str(det_g),
-        ms=watch.lap(),
+        lambda: det_is("group", "a*b*c - b^2 - c^2"),
     )
-    det_l = cz.general_commutant_element("lie").det()
-    report.add(
+    report.check(
         "det of general Lie commutant is xi^2 - delta*eta^2",
-        det_l == parse_poly("xi^2 - delta*eta^2"),
-        witness=str(det_l),
-        ms=watch.lap(),
+        lambda: det_is("lie", "xi^2 - delta*eta^2"),
     )
     for name in cz.MODEL_NAMES:
         m = cz.model(name)
         if corrupt == f"centralizer:{name}" and m.relation is not None:
             m = replace(m, relation=corrupt_constant(m.relation))
-        report.add(
+        report.check(
             f"{name}: parametrization satisfies the relation, involutions preserve it",
-            cz.verify_parametrization(m),
-            ms=watch.lap(),
+            lambda: cz.verify_parametrization(m),
         )
-        kernel = cz.model_kernel(m)
-        report.add(
-            f"{name}: implicitization kernel equals the model relation",
-            cz.kernel_matches_relation(m, kernel),
-            witness="; ".join(str(g) for g in kernel.groebner()) or "0",
-            ms=watch.lap(),
-        )
+
+        def kernel_is_relation():
+            kernel = cz.model_kernel(m)
+            return cz.kernel_matches_relation(m, kernel), "; ".join(str(g) for g in kernel.groebner()) or "0"
+
+        report.check(f"{name}: implicitization kernel equals the model relation", kernel_is_relation)
         B = build_blowup(datum, m.blowup_flavor, term_cap=cfg.term_cap)
-        match = cz.blowup_match(m, B, degree_bound=cfg.degree_bound)
-        report.add(
+
+        def identification():
+            match = cz.blowup_match(m, B, degree_bound=cfg.degree_bound)
+            return match.passed, str(match.certificates)
+
+        report.check(
             f"{name} <-> {m.blowup_flavor}: two-sided blow-up identification (bound {cfg.degree_bound})",
-            match.passed,
-            witness=str(match.certificates),
-            ms=watch.lap(),
+            identification,
         )
     expected = {
         ("S", ("jmath",), 2): {"b", "a^2", "c^2", "a*c"},
@@ -190,170 +176,144 @@ def suite_centralizer(cfg: Config, corrupt: str | None = None) -> Report:
         ("S", ("iota", "jmath"), 3): {"a^2", "b^2", "c^2", "a*b*c"},
     }
     for (name, which, bound), want in expected.items():
-        got = {str(g) for g in cz.isogeny_invariants(cz.model(name), which, degree_bound=bound)}
-        report.add(
-            f"{name}: invariants under {'+'.join(which)} are {sorted(want)}",
-            got == want,
-            witness=str(sorted(got)),
-            ms=watch.lap(),
-        )
+
+        def invariants():
+            got = {str(g) for g in cz.isogeny_invariants(cz.model(name), which, degree_bound=bound)}
+            return got == want, str(sorted(got))
+
+        report.check(f"{name}: invariants under {'+'.join(which)} are {sorted(want)}", invariants)
     return report
 
 
 def suite_kring(cfg: Config, corrupt: str | None = None) -> Report:
-    report = Report("kring")
-    watch = Stopwatch(cfg.timing)
+    report = Report("kring", cfg.timing)
     star = cz.model("S").relation
     if corrupt == "kring":
         star = corrupt_constant(star)
     ring = abstract_ring(star)
     a, b, c = (parse_poly(s, vars=("a", "b", "c")) for s in "abc")
 
-    prod = kring_multiply(c, v_dictionary(-1, 1), ring)
-    report.add(
-        "v(1)_1 * v(-1)_1 = v(0)_2 + 1",
-        ring.equal(prod, v_dictionary(0, 2) + 1),
-        witness=str(prod),
-        ms=watch.lap(),
-    )
-    report.add(
+    def product_with_unit():
+        prod = kring_multiply(c, v_dictionary(-1, 1), ring)
+        return ring.equal(prod, v_dictionary(0, 2) + 1), str(prod)
+
+    report.check("v(1)_1 * v(-1)_1 = v(0)_2 + 1", product_with_unit)
+    report.check(
         "v(1)_0 * v(0)_1 = v(1)_1 + v(-1)_1",
-        ring.equal(kring_multiply(a, b, ring), v_dictionary(1, 1) + v_dictionary(-1, 1)),
-        ms=watch.lap(),
+        lambda: ring.equal(kring_multiply(a, b, ring), v_dictionary(1, 1) + v_dictionary(-1, 1)),
     )
     for n in (0, 1):
         vn1 = v_dictionary(n, 1)
-        report.add(
+        report.check(
             f"v({n})_1 * v({n})_1 = v({2*n})_2",
-            ring.equal(kring_multiply(vn1, vn1, ring), v_dictionary(2 * n, 2)),
-            ms=watch.lap(),
+            lambda: ring.equal(kring_multiply(vn1, vn1, ring), v_dictionary(2 * n, 2)),
         )
-    ivan_lhs = kring_multiply(kring_multiply(a, b, ring), c, ring)
-    ivan_rhs = kring_multiply(c, c, ring) + kring_multiply(b, b, ring) + 1
-    report.add("cubic product relation holds", ring.equal(ivan_lhs, ivan_rhs), ms=watch.lap())
-    regenerated = a * b * c - (c * c + b * b + 1)
-    report.add(
-        "cubic product relation regenerates the model relation",
-        regenerated == star,
-        witness=str(regenerated),
-        ms=watch.lap(),
+    report.check(
+        "cubic product relation holds",
+        lambda: ring.equal(
+            kring_multiply(kring_multiply(a, b, ring), c, ring),
+            kring_multiply(c, c, ring) + kring_multiply(b, b, ring) + 1,
+        ),
     )
+
+    def regenerates():
+        regenerated = a * b * c - (c * c + b * b + 1)
+        return regenerated == star, str(regenerated)
+
+    report.check("cubic product relation regenerates the model relation", regenerates)
     for name, ok in dictionary_rederivations().items():
-        report.add(f"dictionary: {name}", ok, ms=watch.lap())
+        report.check(f"dictionary: {name}", lambda: ok)
 
     K = KRing()
+
+    def round_trip(gen, there, back):
+        image = there(gen)
+        return back(image) == gen, str(image)
+
     for gen in (a, b, c):
-        loc = K.abstract_to_localized(gen)
-        back = K.localized_to_abstract(loc)
-        report.add(
+        report.check(
             f"presentation round-trip abstract->localized->abstract on {gen}",
-            back == gen,
-            witness=str(loc),
-            ms=watch.lap(),
+            lambda: round_trip(gen, K.abstract_to_localized, K.localized_to_abstract),
         )
-        blow = K.abstract_to_blowup(gen)
-        back2 = K.blowup_to_abstract(blow)
-        report.add(
+        report.check(
             f"presentation round-trip abstract->blowup->abstract on {gen}",
-            back2 == gen,
-            witness=str(blow),
-            ms=watch.lap(),
+            lambda: round_trip(gen, K.abstract_to_blowup, K.blowup_to_abstract),
         )
     y, z = LaurentPoly.gens("y z")
-    report.add(
+    report.check(
         "localized image of v(1)_1 is -i (y-y^-1)/(z-z^-1)",
-        K.abstract_to_localized(c) == RingFraction(y - y**-1, z - z**-1) * gauss(0, -1),
-        ms=watch.lap(),
+        lambda: K.abstract_to_localized(c) == RingFraction(y - y**-1, z - z**-1) * gauss(0, -1),
     )
     for name, ok in K.localization_checks().items():
-        report.add(f"localization: {name}", ok, ms=watch.lap())
+        report.check(f"localization: {name}", lambda: ok)
 
-    report.add("v(1)_0 lies in the even-m subring", subring_filter(a, "G"), ms=watch.lap())
-    report.add("v(1)_1 does not lie in the even-m subring", not subring_filter(c, "G"), ms=watch.lap())
-    report.add("v(2)_2 lies in both parity subrings", subring_filter(c * c, "both"), ms=watch.lap())
-    gens_even_m = [a, b * b, c * c, b * c]
-    report.add(
+    report.check("v(1)_0 lies in the even-m subring", lambda: subring_filter(a, "G"))
+    report.check("v(1)_1 does not lie in the even-m subring", lambda: not subring_filter(c, "G"))
+    report.check("v(2)_2 lies in both parity subrings", lambda: subring_filter(c * c, "both"))
+    report.check(
         "the even-m generator list is fixed by the parity involution",
-        all(subring_filter(g, "G") for g in gens_even_m),
-        ms=watch.lap(),
+        lambda: all(subring_filter(g, "G") for g in [a, b * b, c * c, b * c]),
     )
 
-    lhs_reading = fusion_table("odin", n=2, l=1).lhs_str()
-    report.add(
-        "fusion table reading: the general rules pair consecutive degree-one classes",
-        lhs_reading == "q^-1 * v(3)_1 * v(1)_1",
-        witness=f"left side read as {lhs_reading}",
-        ms=watch.lap(),
+    def fusion_reading():
+        lhs = fusion_table("odin", n=2, l=1).lhs_str()
+        return lhs == "q^-1 * v(3)_1 * v(1)_1", f"left side read as {lhs}"
+
+    report.check(
+        "fusion table reading: the general rules pair consecutive degree-one classes", fusion_reading
     )
-    sweep = consistency_sweep()
-    for rec in sweep:
+    for rec in consistency_sweep():
         if rec.status == "skipped-ambiguous":
-            report.add_skipped(
-                "fusion recurrences at n = 1 (boundary ambiguity)", rec.detail
-            )
+            report.add_skipped("fusion recurrences at n = 1 (boundary ambiguity)", rec.detail)
         else:
-            report.add(
+            report.check(
                 f"fusion recurrences agree at q=1 (n={rec.n}, l={rec.l})",
-                rec.status == "pass",
-                witness=rec.detail,
-                ms=watch.lap(),
+                lambda: (rec.status == "pass", rec.detail),
             )
-    t_simple = fusion_table("tri", a=1, b=0, l=3)
-    report.add(
-        "closed product formula, single factor",
-        str(t_simple) == "v(4)_1",
-        witness=str(t_simple),
-        ms=watch.lap(),
-    )
-    t_pair = fusion_table("tri", a=1, b=1, l=2)
-    report.add(
-        "closed product formula, consecutive pair",
-        str(t_pair) == "q^-2 * v(5)_2",
-        witness=str(t_pair),
-        ms=watch.lap(),
+
+    def closed_form(want, **params):
+        got = str(fusion_table("tri", **params))
+        return got == want, got
+
+    report.check("closed product formula, single factor", lambda: closed_form("v(4)_1", a=1, b=0, l=3))
+    report.check(
+        "closed product formula, consecutive pair", lambda: closed_form("q^-2 * v(5)_2", a=1, b=1, l=2)
     )
     return report
 
 
 def suite_homology(cfg: Config, corrupt: str | None = None) -> Report:
-    report = Report("homology")
-    watch = Stopwatch(cfg.timing)
+    report = Report("homology", cfg.timing)
     rel = None
     if corrupt == "homology":
         rel = corrupt_constant(parse_poly("xi^2 - delta*eta^2 - 1", vars=("delta", "xi", "eta")))
     ring = BMRing(rel)
-    g = ring.grading_check()
-    report.add(
-        "grading: relation homogeneous of degree 0",
-        g["homogeneous"],
-        witness=str(g["degrees"]),
-        ms=watch.lap(),
-    )
-    b = ring.basis_check(bound=3)
-    report.add(
-        f"module basis: {b['expected']} independent normal forms at bound 3",
-        b["passed"],
-        witness=f"count {b['count']}",
-        ms=watch.lap(),
-    )
-    inv = bm_ring_ops("invariant_subalgebra", ring=ring)
-    report.add(
-        "even subalgebra generated by delta, xi^2, eta^2, xi*eta",
-        inv["passed"],
-        witness=str(inv["generators"]),
-        ms=watch.lap(),
-    )
-    kernel = cz.model_kernel(cz.model("S-prime"))
-    expected = [str(p) for p in kernel.groebner()]
-    from .groebner import Ideal
+    bound = 3
 
-    got = Ideal(kernel.ring, [ring.relation.with_vars(kernel.ring.vars)])
-    report.add(
-        "homology relation matches the hypersurface-model kernel",
-        [str(p) for p in got.groebner()] == expected,
-        witness="; ".join(expected),
-        ms=watch.lap(),
+    def grading():
+        g = ring.grading_check()
+        return g["homogeneous"], str(g["degrees"])
+
+    def module_basis():
+        b = ring.basis_check(bound=bound)
+        return b["passed"], f"count {b['count']}"
+
+    def even_subalgebra():
+        inv = bm_ring_ops("invariant_subalgebra", ring=ring)
+        return inv["passed"], str(inv["generators"])
+
+    def matches_model():
+        m = cz.model("S-prime")
+        kernel = cz.model_kernel(m)
+        matches = cz.kernel_matches_relation(replace(m, relation=ring.relation), kernel)
+        return matches, "; ".join(str(p) for p in kernel.groebner())
+
+    report.check("grading: relation homogeneous of degree 0", grading)
+    report.check(
+        f"module basis: {2 * (bound + 1) ** 2} independent normal forms at bound {bound}", module_basis
     )
+    report.check("even subalgebra generated by delta, xi^2, eta^2, xi*eta", even_subalgebra)
+    report.check("homology relation matches the hypersurface-model kernel", matches_model)
     return report
 
 
@@ -371,111 +331,94 @@ def _random_heisenberg(rng: random.Random, datum, max_terms=3) -> HeisenbergElem
 
 
 def suite_heisenberg(cfg: Config, corrupt: str | None = None) -> Report:
-    report = Report("heisenberg")
-    watch = Stopwatch(cfg.timing)
+    report = Report("heisenberg", cfg.timing)
     datum = sl2()
     rng = random.Random(cfg.seed)
 
+    def draws(count, size):
+        return [[_random_heisenberg(rng, datum) for _ in range(size)] for _ in range(count)]
+
+    def monomial_exponents(bound):
+        return (rng.randint(-bound, bound),), (rng.randint(-bound, bound),)
+
     ealpha = HeisenbergElement.basis(datum, weight=(2,))
     ealphach = HeisenbergElement.basis(datum, coweight=(1,))
-    prod = ealpha * ealphach
-    report.add(
-        "central extension rule: e^alpha * e^alphach lands in q^2",
-        prod == HeisenbergElement.basis(datum, q_power=2, coweight=(1,), weight=(2,)),
-        witness=str(prod),
-        ms=watch.lap(),
-    )
-    one = HeisenbergElement.one(datum)
-    report.add("identity element is neutral", one * ealpha == ealpha, ms=watch.lap())
-    rev = ealphach * ealpha
-    report.add(
-        "reversed order picks up no twist",
-        rev == HeisenbergElement.basis(datum, coweight=(1,), weight=(2,)),
-        witness=str(rev),
-        ms=watch.lap(),
-    )
 
-    assoc_fail = 0
-    for _ in range(100):
-        x, y, z = (_random_heisenberg(rng, datum) for _ in range(3))
-        if (x * y) * z != x * (y * z):
-            assoc_fail += 1
-    report.add("associativity on 100 random triples", assoc_fail == 0, ms=watch.lap())
+    def central_extension():
+        prod = ealpha * ealphach
+        return prod == HeisenbergElement.basis(datum, q_power=2, coweight=(1,), weight=(2,)), str(prod)
 
-    comm_fail = 0
-    for _ in range(50):
-        x, y = (_random_heisenberg(rng, datum) for _ in range(2))
-        if not commutes_at_q1(x, y):
-            comm_fail += 1
-    report.add("every commutator vanishes at q = 1 (50 random pairs)", comm_fail == 0, ms=watch.lap())
+    def reversed_order():
+        rev = ealphach * ealpha
+        return rev == HeisenbergElement.basis(datum, coweight=(1,), weight=(2,)), str(rev)
 
     chart = torus_chart(datum, 1)
-    match_fail = 0
-    for _ in range(10):
-        lam1, mu1 = (rng.randint(-3, 3),), (rng.randint(-3, 3),)
-        lam2, mu2 = (rng.randint(-3, 3),), (rng.randint(-3, 3),)
-        u = HeisenbergElement.basis(datum, coweight=lam1, weight=mu1)
-        v = HeisenbergElement.basis(datum, coweight=lam2, weight=mu2)
-        derived = poisson_from_q(u, v)
-        expected = chart.bracket(torus_monomial(datum, lam1, mu1), torus_monomial(datum, lam2, mu2))
-        if RingFraction(derived) != expected:
-            match_fail += 1
-    report.add(
-        "q-deformation bracket equals the chart bracket (kappa=1, 10 monomial pairs)",
-        match_fail == 0,
-        ms=watch.lap(),
+
+    def chart_bracket():
+        pairs = [(monomial_exponents(3), monomial_exponents(3)) for _ in range(10)]
+
+        def agrees(u, v):
+            derived = poisson_from_q(
+                HeisenbergElement.basis(datum, coweight=u[0], weight=u[1]),
+                HeisenbergElement.basis(datum, coweight=v[0], weight=v[1]),
+            )
+            expected = chart.bracket(torus_monomial(datum, *u), torus_monomial(datum, *v))
+            return RingFraction(derived) == expected
+
+        return all(agrees(u, v) for u, v in pairs)
+
+    def antisymmetric():
+        u = _random_heisenberg(rng, datum)
+        return poisson_from_q(u, u).is_zero()
+
+    def jacobi():
+        triples = [[torus_monomial(datum, *monomial_exponents(2)) for _ in range(3)] for _ in range(20)]
+        return all(chart.jacobi_sum(*monos).is_zero() for monos in triples)
+
+    report.check("central extension rule: e^alpha * e^alphach lands in q^2", central_extension)
+    report.check("identity element is neutral", lambda: HeisenbergElement.one(datum) * ealpha == ealpha)
+    report.check("reversed order picks up no twist", reversed_order)
+    report.check(
+        "associativity on 100 random triples",
+        lambda: all((x * y) * z == x * (y * z) for x, y, z in draws(100, 3)),
     )
-
-    anti_ok = True
-    u = _random_heisenberg(rng, datum)
-    anti_ok = poisson_from_q(u, u).is_zero()
-    report.add("q-deformation bracket is antisymmetric ({u,u} = 0)", anti_ok, ms=watch.lap())
-
-    jacobi_fail = 0
-    for _ in range(20):
-        monos = [torus_monomial(datum, (rng.randint(-2, 2),), (rng.randint(-2, 2),)) for _ in range(3)]
-        if not chart.jacobi_sum(*monos).is_zero():
-            jacobi_fail += 1
-    report.add("Jacobi identity on 20 random monomial triples", jacobi_fail == 0, ms=watch.lap())
+    report.check(
+        "every commutator vanishes at q = 1 (50 random pairs)",
+        lambda: all(commutes_at_q1(x, y) for x, y in draws(50, 2)),
+    )
+    report.check("q-deformation bracket equals the chart bracket (kappa=1, 10 monomial pairs)", chart_bracket)
+    report.check("q-deformation bracket is antisymmetric ({u,u} = 0)", antisymmetric)
+    report.check("Jacobi identity on 20 random monomial triples", jacobi)
     return report
 
 
 def suite_steinberg(cfg: Config, corrupt: str | None = None) -> Report:
-    report = Report("steinberg")
-    watch = Stopwatch(cfg.timing)
-    w = Substitution.parse({"t": "t^-1", "z": "z^-1"})
-    action = GroupAction([w])
-    gens = invariant_generators(action, laurent_vars=["t", "z"], degree_bound=2)
-    got = {str(g) for g in gens}
-    want = {"t + t^-1", "z + z^-1", "t*z + t^-1*z^-1", "t*z^-1 + t^-1*z"}
-    report.add(
-        "diagonal Weyl invariants of the double torus: the four orbit sums",
-        got == want,
-        witness=str(sorted(got)),
-        ms=watch.lap(),
-    )
-    f = parse_poly("t*z^2 + 3 - t^-1*z")
-    r1 = action.reynolds(f)
-    report.add(
-        "Reynolds operator is an idempotent projector",
-        action.reynolds(r1) == r1 and action.is_invariant(r1),
-        ms=watch.lap(),
-    )
+    report = Report("steinberg", cfg.timing)
+    action = GroupAction([Substitution.parse({"t": "t^-1", "z": "z^-1"})])
     z = LaurentPoly.var("z")
-    failures = 0
-    total = 0
-    for length in range(0, 5):
-        for exps in combinations_with_replacement(range(-3, 4), length):
-            total += 1
+    char_lists = [exps for length in range(5) for exps in combinations_with_replacement(range(-3, 4), length)]
+
+    def orbit_sums():
+        got = {str(g) for g in invariant_generators(action, laurent_vars=["t", "z"], degree_bound=2)}
+        return got == {"t + t^-1", "z + z^-1", "t*z + t^-1*z^-1", "t*z^-1 + t^-1*z"}, str(sorted(got))
+
+    def reynolds_projects():
+        r1 = action.reynolds(parse_poly("t*z^2 + 3 - t^-1*z"))
+        return action.reynolds(r1) == r1 and action.is_invariant(r1)
+
+    def unit_identity():
+        failures = 0
+        for exps in char_lists:
             try:
                 unit_comparison([z**e for e in exps])
             except AssertionError:
                 failures += 1
-    report.add(
-        f"unit identity Delta_1 = Delta_2 * prod(-chi) for {total} character lists",
-        failures == 0,
-        witness=f"{failures} failures",
-        ms=watch.lap(),
+        return failures == 0, f"{failures} failures"
+
+    report.check("diagonal Weyl invariants of the double torus: the four orbit sums", orbit_sums)
+    report.check("Reynolds operator is an idempotent projector", reynolds_projects)
+    report.check(
+        f"unit identity Delta_1 = Delta_2 * prod(-chi) for {len(char_lists)} character lists", unit_identity
     )
     return report
 

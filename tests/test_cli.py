@@ -123,6 +123,15 @@ class TestVerify:
         for check in data["checks"]:
             assert set(check) == {"name", "status", "witness", "ms"}
             assert check["status"] in ("pass", "fail", "skipped-ambiguous")
+            assert check["ms"] == 0
+
+    def test_timing_charges_no_closure_record_with_the_closure(self, capsys):
+        # the bracket closure is set-up shared by the pair records, charged to none of them
+        code, out, _ = run_cli(capsys, "verify", "blowup", "--timing", "--output", "json")
+        assert code == EXIT_OK
+        closure = [c for c in json.loads(out)["checks"] if "bracket closure" in c["name"]]
+        assert closure
+        assert all(c["ms"] < 50 for c in closure), [(c["name"], c["ms"]) for c in closure if c["ms"] >= 50]
 
     def test_skipped_ambiguous_reported(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "kring", "--output", "json")
