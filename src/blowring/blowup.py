@@ -111,7 +111,7 @@ def _factor_equation(
     return _char_monomial(vars, vec) - 1
 
 
-def build_blowup(datum: RootDatum, flavor: str, term_cap: int | None = None) -> BlowupAlgebra:
+def build_blowup(datum: RootDatum, flavor: str) -> BlowupAlgebra:
     """Construct the blow-up algebra with a saturated relation ideal."""
     if flavor not in FLAVORS:
         raise BlowupError(f"unknown flavor {flavor!r}; expected one of {FLAVORS}")
@@ -138,8 +138,7 @@ def build_blowup(datum: RootDatum, flavor: str, term_cap: int | None = None) -> 
         (laurent if kind in ("group", "dual-group") else poly).extend(vars)
     poly.extend(gen_names)
 
-    kwargs = {"term_cap": term_cap} if term_cap else {}
-    ring = PresentedRing(laurent, poly, relations, **kwargs)
+    ring = PresentedRing(laurent, poly, relations)
     wall_product = LaurentPoly.const(1)
     for w in walls:
         wall_product = wall_product * w

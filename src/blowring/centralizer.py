@@ -16,7 +16,6 @@ from .actions import GroupAction, Substitution, invariant_generators
 from .blowup import BlowupAlgebra, membership
 from .fractions import RingFraction, RingMap, split_for_ring
 from .groebner import (
-    DEFAULT_TERM_CAP,
     Elimination,
     Ideal,
     laurent_ambient_vars,
@@ -190,25 +189,10 @@ def _coefficient_of(poly: LaurentPoly, unknown: str) -> LaurentPoly:
 
 def _nullspace(rows: list[list[LaurentPoly]], width: int) -> list[list[RingFraction]]:
     """Exact nullspace basis over the fraction field of the parameter ring."""
-    m = [[RingFraction.of(e) for e in row] for row in rows]
-    n = len(m)
-    pivots: list[tuple[int, int]] = []
-    pivot_cols: set[int] = set()
-    row = 0
-    for col in range(width):
-        pivot = next((r for r in range(row, n) if not m[r][col].is_zero()), None)
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        inv = m[row][col].inverse()
-        m[row] = [e * inv for e in m[row]]
-        for r in range(n):
-            if r != row and not m[r][col].is_zero():
-                f = m[r][col]
-                m[r] = [e - f * p for e, p in zip(m[r], m[row])]
-        pivots.append((row, col))
-        pivot_cols.add(col)
-        row += 1
+    reduced = _rref([[RingFraction.of(e) for e in row] for row in rows])
+    # a reduced row's first nonzero entry is its pivot
+    pivots = [(r, next(c for c, e in enumerate(r) if not e.is_zero())) for r in reduced]
+    pivot_cols = {c for _, c in pivots}
     basis = []
     one = RingFraction.of(LaurentPoly.const(1))
     zero = RingFraction.of(LaurentPoly.zero())
@@ -218,7 +202,7 @@ def _nullspace(rows: list[list[LaurentPoly]], width: int) -> list[list[RingFract
         vec = [zero] * width
         vec[free] = one
         for prow, pcol in pivots:
-            vec[pcol] = -m[prow][free]
+            vec[pcol] = -prow[free]
         basis.append(vec)
     return basis
 
@@ -525,7 +509,7 @@ def kernel_of_map(
             seen.add(key)
             den_product = den_product * den
     invert = [] if den_product.is_monomial() else [den_product]
-    return Elimination(ambient, source_coords, gens, invert, DEFAULT_TERM_CAP).kept()
+    return Elimination(ambient, source_coords, gens, invert).kept()
 
 
 def model_kernel(m: SliceModel) -> Ideal:

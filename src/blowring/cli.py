@@ -22,7 +22,7 @@ from .centralizer import (
 )
 from .fractions import parse_fraction
 from .fusion import FusionRangeError, fusion_table
-from .groebner import ResourceLimitError
+from .groebner import ResourceLimitError, term_budget
 from .kring import KRing, KRingError
 from .poisson import standard_chart
 from .poly import PolyParseError, parse_poly
@@ -116,6 +116,14 @@ class UsageError(ValueError):
     pass
 
 
+def _parse_fractions(texts, allowed, where: str):
+    """Parse fraction arguments, rejecting any variable outside ``allowed``."""
+    fracs = [parse_fraction(t) for t in texts]
+    foreign = {v for f in fracs for p in (f.num, f.den) for v in p.support_vars()} - set(allowed)
+    _require(not foreign, f"variables {sorted(foreign)} are not in the {where} {sorted(allowed)}")
+    return fracs
+
+
 def _compute_kernel(args, cfg) -> int:
     _require(args.model, "kernel requires --model")
     m = model(args.model)
@@ -159,10 +167,9 @@ def _compute_multiply(args, cfg) -> int:
 def _compute_bracket(args, cfg) -> int:
     _require(args.flavor, "bracket requires --flavor")
     _require(len(args.args) == 2, "bracket requires two fraction arguments")
-    B = build_blowup(sl2(), args.flavor, term_cap=cfg.term_cap)
+    B = build_blowup(sl2(), args.flavor)
     chart = standard_chart(B, args.kappa)
-    f = parse_fraction(args.args[0])
-    g = parse_fraction(args.args[1])
+    f, g = _parse_fractions(args.args, chart.kinds, f"{args.flavor} chart coordinates")
     br = chart.bracket(f, g)
     res = membership(br, B) if not br.is_zero() else None
     payload = {
@@ -179,7 +186,7 @@ def _compute_closure(args, cfg) -> int:
     _require(args.flavor, "closure requires --flavor")
     from .poisson import bracket_closure_check
 
-    B = build_blowup(sl2(), args.flavor, term_cap=cfg.term_cap)
+    B = build_blowup(sl2(), args.flavor)
     report = bracket_closure_check(B, kappa=args.kappa)
     data = report.to_dict()
     if cfg.output == "json":
@@ -194,8 +201,10 @@ def _compute_closure(args, cfg) -> int:
 def _compute_membership(args, cfg) -> int:
     _require(args.flavor, "membership requires --flavor")
     _require(len(args.args) == 1, "membership requires one fraction argument")
-    B = build_blowup(sl2(), args.flavor, term_cap=cfg.term_cap)
-    res = membership(parse_fraction(args.args[0]), B)
+    B = build_blowup(sl2(), args.flavor)
+    ring_vars = B.ring.laurent_vars + B.ring.poly_vars
+    (frac,) = _parse_fractions(args.args, ring_vars, f"{args.flavor} variables")
+    res = membership(frac, B)
     payload = {
         "flavor": args.flavor,
         "member": res.member,
@@ -274,9 +283,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     try:
-        if args.command == "verify":
-            return cmd_verify(args, cfg)
-        return cmd_compute(args, cfg)
+        with term_budget(cfg.term_cap):
+            if args.command == "verify":
+                return cmd_verify(args, cfg)
+            return cmd_compute(args, cfg)
     except (UsageError, PolyParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

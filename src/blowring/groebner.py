@@ -9,12 +9,25 @@ ideal computations stay textbook Buchberger.
 from __future__ import annotations
 
 import heapq
+from contextlib import contextmanager
 from typing import Iterable, Sequence
 
 from .poly import Exps, LaurentPoly
 from .scalars import GaussianRational, ONE
 
 DEFAULT_TERM_CAP = 200_000
+_term_cap = DEFAULT_TERM_CAP
+
+
+@contextmanager
+def term_budget(cap: int):
+    """Bound every normal form and basis computed inside the block by ``cap`` terms."""
+    global _term_cap
+    saved, _term_cap = _term_cap, cap
+    try:
+        yield
+    finally:
+        _term_cap = saved
 
 
 class ResourceLimitError(RuntimeError):
@@ -111,10 +124,10 @@ def normal_form(
     f: LaurentPoly,
     basis: Sequence[LaurentPoly],
     ring: PolyRing,
-    term_cap: int = DEFAULT_TERM_CAP,
     _key_cache: dict | None = None,
 ) -> LaurentPoly:
     """Fully reduced remainder of multivariate division by ``basis``."""
+    term_cap = _term_cap
     order = ring.order
     kcache: dict[Exps, tuple] = {} if _key_cache is None else _key_cache
     okey = order.key
@@ -177,17 +190,14 @@ def _spoly(f, flm, flc, g, glm, glc, order) -> LaurentPoly:
     return _mul_term(f, flc.inverse(), sf) - _mul_term(g, glc.inverse(), sg)
 
 
-def buchberger(
-    gens: Iterable[LaurentPoly],
-    ring: PolyRing,
-    term_cap: int = DEFAULT_TERM_CAP,
-) -> list[LaurentPoly]:
+def buchberger(gens: Iterable[LaurentPoly], ring: PolyRing) -> list[LaurentPoly]:
     """Reduced Gröbner basis of the ideal generated by ``gens``.
 
     Normal selection strategy (pairs popped by lcm order), with Buchberger's
     coprimality and chain criteria. Deterministic: the result depends only on
     the generators and the order, not on scheduling.
     """
+    term_cap = _term_cap
     order = ring.order
     kcache: dict[Exps, tuple] = {}
     okey = order.key
@@ -205,7 +215,7 @@ def buchberger(
         if g.terms:
             lm = max(g.terms, key=key_of)
             basis.append(g * g.terms[lm].inverse())
-    basis = _interreduce(basis, ring, term_cap, kcache)
+    basis = _interreduce(basis, ring, kcache)
     leads = []
     for g in basis:
         lm = max(g.terms, key=key_of)
@@ -234,7 +244,7 @@ def buchberger(
         if _chain_criterion(i, j, lcm, leads, pairset):
             continue
         s = _spoly(basis[i], flm, leads[i][1], basis[j], glm, leads[j][1], order)
-        r = normal_form(s, basis, ring, term_cap, kcache)
+        r = normal_form(s, basis, ring, kcache)
         if r.terms:
             lm = max(r.terms, key=key_of)
             r = r * r.terms[lm].inverse()
@@ -245,7 +255,7 @@ def buchberger(
                 push_pair(m, k)
             if sum(len(b.terms) for b in basis) > term_cap:
                 raise ResourceLimitError(f"basis exceeded {term_cap} terms")
-    return _reduce_basis(basis, ring, term_cap, kcache)
+    return _reduce_basis(basis, ring, kcache)
 
 
 def _chain_criterion(i, j, lcm, leads, pairset) -> bool:
@@ -261,7 +271,7 @@ def _chain_criterion(i, j, lcm, leads, pairset) -> bool:
 
 
 def _interreduce(
-    polys: list[LaurentPoly], ring: PolyRing, term_cap: int, kcache: dict | None = None
+    polys: list[LaurentPoly], ring: PolyRing, kcache: dict | None = None
 ) -> list[LaurentPoly]:
     order = ring.order
     work = sorted(polys, key=lambda p: order.key(leading(p, order)[0]))
@@ -271,7 +281,7 @@ def _interreduce(
         out: list[LaurentPoly] = []
         for idx, p in enumerate(work):
             others = out + work[idx + 1 :]
-            r = normal_form(p, others, ring, term_cap, kcache) if others else p
+            r = normal_form(p, others, ring, kcache) if others else p
             if r.terms:
                 _, lc = leading(r, order)
                 r = r * lc.inverse()
@@ -285,7 +295,7 @@ def _interreduce(
 
 
 def _reduce_basis(
-    basis: list[LaurentPoly], ring: PolyRing, term_cap: int, kcache: dict | None = None
+    basis: list[LaurentPoly], ring: PolyRing, kcache: dict | None = None
 ) -> list[LaurentPoly]:
     order = ring.order
     # minimal: drop generators whose lead is divisible by another lead
@@ -303,7 +313,7 @@ def _reduce_basis(
     out = []
     for i, g in enumerate(kept):
         others = kept[:i] + kept[i + 1 :]
-        r = normal_form(g, others, ring, term_cap, kcache) if others else g
+        r = normal_form(g, others, ring, kcache) if others else g
         if r.terms:
             _, lc = leading(r, order)
             out.append(r * lc.inverse())
@@ -374,19 +384,18 @@ def laurent_divmod_single(f: LaurentPoly, g: LaurentPoly, ring: PolyRing):
 class Ideal:
     """An ideal in an ordered polynomial ring, with a cached reduced basis."""
 
-    def __init__(self, ring: PolyRing, gens: Sequence[LaurentPoly], term_cap: int = DEFAULT_TERM_CAP):
+    def __init__(self, ring: PolyRing, gens: Sequence[LaurentPoly]):
         self.ring = ring
         self.gens = [ring.align(g) for g in gens]
-        self.term_cap = term_cap
         self._gb: list[LaurentPoly] | None = None
 
     def groebner(self) -> list[LaurentPoly]:
         if self._gb is None:
-            self._gb = buchberger([g for g in self.gens if g.terms], self.ring, self.term_cap)
+            self._gb = buchberger([g for g in self.gens if g.terms], self.ring)
         return self._gb
 
     def normal_form(self, f: LaurentPoly) -> LaurentPoly:
-        return normal_form(f, self.groebner(), self.ring, self.term_cap)
+        return normal_form(f, self.groebner(), self.ring)
 
     def contains(self, f: LaurentPoly) -> bool:
         return not self.normal_form(f).terms
@@ -399,15 +408,15 @@ class Ideal:
         keep = set(keep)
         drop = [v for v in self.ring.vars if v not in keep]
         kept = [v for v in self.ring.vars if v in keep]
-        return Elimination(drop, kept, self.gens, (), self.term_cap).kept()
+        return Elimination(drop, kept, self.gens, ()).kept()
 
     def saturate(self, f: LaurentPoly) -> "Ideal":
         """I : f^infinity via an auxiliary inverse of f."""
         f = self.ring.align(f)
         if not f.terms:
             raise ValueError("cannot saturate by zero")
-        inner = Elimination((), self.ring.vars, self.gens, [f], self.term_cap).kept()
-        return Ideal(self.ring, inner.gens, self.term_cap)
+        inner = Elimination((), self.ring.vars, self.gens, [f]).kept()
+        return Ideal(self.ring, inner.gens)
 
     def __repr__(self):
         gens = ", ".join(str(g) for g in self.gens[:4])
@@ -431,7 +440,6 @@ class Elimination(Ideal):
         keep: Sequence[str],
         gens: Sequence[LaurentPoly],
         invert: Sequence[LaurentPoly],
-        term_cap: int,
     ):
         drop, keep = tuple(drop), tuple(keep)
         both = set(drop) & set(keep)
@@ -444,7 +452,7 @@ class Elimination(Ideal):
         n = len(vars) - len(keep)
         ring = PolyRing(vars, BlockOrder([range(n), range(n, len(vars))]))
         inverses = [f * LaurentPoly.var(w) - 1 for f, w in zip(invert, self.aux)]
-        super().__init__(ring, list(gens) + inverses, term_cap)
+        super().__init__(ring, list(gens) + inverses)
 
     def certificate(self, f: LaurentPoly) -> LaurentPoly | None:
         """The normal form of f in the kept variables, or None if it needs eliminated ones."""
@@ -457,7 +465,7 @@ class Elimination(Ideal):
         """The elimination ideal, in the ring of the kept variables."""
         keep = set(self.keep)
         gens = [g.with_vars(self.keep) for g in self.groebner() if set(g.support_vars()) <= keep]
-        return Ideal(PolyRing(self.keep), gens, self.term_cap)
+        return Ideal(PolyRing(self.keep), gens)
 
 
 def _fresh_names(taken: set[str], count: int) -> list[str]:

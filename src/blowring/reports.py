@@ -6,13 +6,15 @@ import json
 import time
 from dataclasses import dataclass, field, asdict
 
+from .groebner import DEFAULT_TERM_CAP
+
 STATUSES = ("pass", "fail", "skipped-ambiguous")
 
 
 @dataclass
 class Config:
     degree_bound: int = 4
-    term_cap: int = 200_000
+    term_cap: int = DEFAULT_TERM_CAP
     seed: int = 0
     output: str = "text"
     timing: bool = False

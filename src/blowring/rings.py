@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from .groebner import (
-    DEFAULT_TERM_CAP,
     Elimination,
     Ideal,
     PolyRing,
@@ -29,21 +28,19 @@ class PresentedRing:
         poly_vars: Sequence[str],
         relations: Sequence[LaurentPoly] = (),
         grading: Mapping[str, int] | None = None,
-        term_cap: int = DEFAULT_TERM_CAP,
         _ambient_gens: Sequence[LaurentPoly] | None = None,
     ):
         self.laurent_vars = tuple(laurent_vars)
         self.poly_vars = tuple(poly_vars)
         self.relations = list(relations)
         self.grading = dict(grading) if grading else None
-        self.term_cap = term_cap
         self.ambient_vars = laurent_ambient_vars(self.laurent_vars, self.poly_vars)
         self.ambient_ring = PolyRing(self.ambient_vars)
         if _ambient_gens is None:
             gens = unit_relations(self.laurent_vars) + [self.to_ambient(r) for r in relations]
         else:
             gens = list(_ambient_gens)
-        self.ideal = Ideal(self.ambient_ring, gens, term_cap)
+        self.ideal = Ideal(self.ambient_ring, gens)
         self._division_cache: dict = {}
 
     # -- conversions --------------------------------------------------------
@@ -68,7 +65,6 @@ class PresentedRing:
             self.poly_vars,
             self.relations,
             grading=self.grading,
-            term_cap=self.term_cap,
             _ambient_gens=sat.groebner(),
         )
 
@@ -83,9 +79,7 @@ class PresentedRing:
         den_key = str(self.to_ambient(den))
         elim = self._division_cache.get(den_key)
         if elim is None:
-            elim = Elimination(
-                (), self.ambient_vars, self.ideal.gens, [self.to_ambient(den)], self.term_cap
-            )
+            elim = Elimination((), self.ambient_vars, self.ideal.gens, [self.to_ambient(den)])
             self._division_cache[den_key] = elim
         (w,) = elim.aux
         return elim.certificate(self.to_ambient(num) * LaurentPoly.var(w) ** power)
@@ -137,7 +131,7 @@ class SubalgebraOracle:
         gens = list(ring.ideal.gens)
         for tag, gen in zip(self.tags, generators):
             gens.append(LaurentPoly.var(tag) - ring.to_ambient(gen))
-        self.ideal = Elimination(ring.ambient_vars, self.tags, gens, (), ring.term_cap)
+        self.ideal = Elimination(ring.ambient_vars, self.tags, gens, ())
 
     def rewrite(self, f: LaurentPoly) -> LaurentPoly | None:
         return self.ideal.certificate(self.ring.to_ambient(f))

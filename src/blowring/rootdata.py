@@ -109,7 +109,7 @@ class RootDatum:
 
     # -- Weyl group -------------------------------------------------------------
 
-    def weyl_elements(self, cap: int = WEYL_CAP) -> list[tuple[Vec, ...]]:
+    def weyl_elements(self) -> list[tuple[Vec, ...]]:
         """W as matrices on X (tuples of basis-vector images), BFS closure."""
         identity = tuple(_unit(i, self.rank) for i in range(self.rank))
         gens = []
@@ -128,8 +128,8 @@ class RootDatum:
                     if wg not in seen:
                         seen.add(wg)
                         nxt.append(wg)
-                        if len(seen) > cap:
-                            raise RootDatumError(f"Weyl group exceeds cap {cap}")
+                        if len(seen) > WEYL_CAP:
+                            raise RootDatumError(f"Weyl group exceeds cap {WEYL_CAP}")
             frontier = nxt
         return sorted(seen)
 

@@ -47,26 +47,17 @@ def corrupt_constant(rel: LaurentPoly) -> LaurentPoly:
     return rel + 1
 
 
-def _corrupted_blowup(datum, flavor):
-    B = build_blowup(datum, flavor)
-    (tname,) = B.gen_names
-    rel = LaurentPoly.var(tname) * B.walls[0] - B.numerators[0]
-    bad = corrupt_constant(rel)
-    ring = PresentedRing(B.ring.laurent_vars, B.ring.poly_vars, [bad]).saturated(B.wall_product)
-    B.ring = ring
-    return B
-
-
 def suite_blowup(cfg: Config, corrupt: str | None = None) -> Report:
     datum = sl2()
     report = Report("blowup", cfg.timing)
+    clean = {}
     for flavor in FLAVORS:
-        if corrupt == f"blowup:{flavor}":
-            B = _corrupted_blowup(datum, flavor)
-        else:
-            B = build_blowup(datum, flavor, term_cap=cfg.term_cap)
+        B = clean[flavor] = build_blowup(datum, flavor)
         (tname,) = B.gen_names
         rel = LaurentPoly.var(tname) * B.walls[0] - B.numerators[0]
+        if corrupt == f"blowup:{flavor}":
+            bad = PresentedRing(B.ring.laurent_vars, B.ring.poly_vars, [corrupt_constant(rel)])
+            B = replace(B, ring=bad.saturated(B.wall_product))
         report.check(f"{flavor}: defining relation reduces to zero", lambda: B.ring.nf(rel).is_zero())
 
         def wall_ratio():
@@ -91,7 +82,7 @@ def suite_blowup(cfg: Config, corrupt: str | None = None) -> Report:
 
             report.check(f"{flavor}: discriminant is W-invariant", w_invariant)
 
-    B = build_blowup(datum, "GG")
+    B = clean["GG"]
     y, z = LaurentPoly.gens("y z")
 
     def certificate_is_T():
@@ -160,7 +151,7 @@ def suite_centralizer(cfg: Config, corrupt: str | None = None) -> Report:
             return cz.kernel_matches_relation(m, kernel), "; ".join(str(g) for g in kernel.groebner()) or "0"
 
         report.check(f"{name}: implicitization kernel equals the model relation", kernel_is_relation)
-        B = build_blowup(datum, m.blowup_flavor, term_cap=cfg.term_cap)
+        B = build_blowup(datum, m.blowup_flavor)
 
         def identification():
             match = cz.blowup_match(m, B, degree_bound=cfg.degree_bound)

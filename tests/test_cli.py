@@ -68,6 +68,20 @@ class TestCompute:
         assert code == EXIT_OK
         assert "member=True" in out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("bracket", "--flavor", "GG", "y", "1/(x-1)"),  # x is not a GG variable
+            ("bracket", "--flavor", "GG", "y", "T"),  # T is not a chart coordinate
+            ("membership", "--flavor", "GG", "x"),
+        ],
+    )
+    def test_foreign_variable_exit_two(self, capsys, argv):
+        code, out, err = run_cli(capsys, "compute", *argv)
+        assert code == EXIT_ERROR
+        assert not out
+        assert "are not in the" in err
+
     def test_invariants(self, capsys):
         code, out, _ = run_cli(
             capsys, "compute", "invariants", "--model", "S", "--which", "jmath", "--degree-bound", "2"
@@ -158,6 +172,25 @@ class TestVerify:
         assert code == EXIT_ERROR
         assert not out
         assert repr(target) in err
+
+
+class TestTermBudget:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--term-cap", "3", "verify", "homology"),
+            ("--term-cap", "3", "verify", "steinberg"),
+            ("--term-cap", "5", "verify", "kring"),
+            ("--term-cap", "5", "verify", "centralizer"),
+            ("--term-cap", "5", "compute", "multiply", "c", "a*b-c"),
+            ("--term-cap", "5", "compute", "kernel", "--model", "S"),
+            ("--term-cap", "5", "compute", "invariants", "--model", "S"),
+        ],
+    )
+    def test_cap_bounds_every_groebner_path(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == EXIT_ERROR
+        assert "resource limit" in err
 
 
 class TestConfig:

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from blowring.groebner import (
-    DEFAULT_TERM_CAP,
     BlockOrder,
     Elimination,
     GrevLex,
@@ -13,6 +12,7 @@ from blowring.groebner import (
     ResourceLimitError,
     laurent_exact_divide,
     polynomialize,
+    term_budget,
     unit_relations,
 )
 from blowring.poly import LaurentPoly, parse_poly
@@ -144,7 +144,7 @@ class TestEliminationPrimitive:
 
     def test_auxiliary_names_are_fresh(self):
         w0 = LaurentPoly.var("_w0")
-        E = Elimination((), ("_w0",), [], [w0 + 1], DEFAULT_TERM_CAP)
+        E = Elimination((), ("_w0",), [], [w0 + 1])
         assert E.aux == ("_w1",)
         assert E.certificate(w0 * LaurentPoly.var("_w1")) is None
         assert E.kept().is_zero()
@@ -221,10 +221,14 @@ class TestLaurentSupport:
 
     def test_term_cap(self):
         I = ideal(("x", "t"), ["x*t - 1"])
-        I.term_cap = 2
+        big = parse_poly("x^5 + x^4 + x^3 + x^2 + x + 1").with_vars(I.ring.vars)
         with pytest.raises(ResourceLimitError):
-            big = parse_poly("x^5 + x^4 + x^3 + x^2 + x + 1").with_vars(I.ring.vars)
-            I.normal_form(big)
+            with term_budget(2):
+                I.normal_form(big)
+        # leaving the block, even by an exception, restores the previous budget
+        assert I.normal_form(big) == big
+        with term_budget(6):
+            assert I.normal_form(big) == big
 
     def test_ring_mismatch_rejected(self):
         I = ideal(("x", "t"), ["x*t - 1"])
