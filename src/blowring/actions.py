@@ -162,10 +162,7 @@ def invariant_generators(
     """
     if ring is None:
         ring = PresentedRing(laurent_vars, poly_vars, [])
-    else:
-        laurent_vars = ring.laurent_vars
-        poly_vars = ring.poly_vars
-    candidates = _symmetrized_candidates(action, laurent_vars, poly_vars, degree_bound, ring)
+    candidates = _symmetrized_candidates(action, degree_bound, ring)
     gens: list[LaurentPoly] = []
     oracle = None
     batch_start = 0
@@ -186,11 +183,14 @@ def invariant_generators(
     return gens
 
 
-def _symmetrized_candidates(action, laurent_vars, poly_vars, bound, ring):
-    vars = tuple(laurent_vars) + tuple(poly_vars)
+def _symmetrized_candidates(action, bound, ring):
+    """Primitive Reynolds images of the ring's monomials up to the bound, as
+    sorted ((height, key), candidate) pairs; reduced modulo the relations, and
+    deduplicated after reduction, when the ring has any."""
+    vars = ring.laurent_vars + ring.poly_vars
     seen: set = set()
     out: list[tuple[tuple, LaurentPoly]] = []
-    for exps in _exponent_box(len(laurent_vars), len(poly_vars), bound):
+    for exps in _exponent_box(len(ring.laurent_vars), len(ring.poly_vars), bound):
         if not any(exps):
             continue
         mono = LaurentPoly(vars, {exps: ONE})
@@ -198,9 +198,9 @@ def _symmetrized_candidates(action, laurent_vars, poly_vars, bound, ring):
         if sym.is_zero():
             continue
         _, prim = sym.scaled_primitive()
-        if ring.relations or ring.ideal.gens:
-            reduced = ring.nf(prim)
-            if reduced.is_zero():
+        if ring.relations:
+            prim = ring.nf(prim)
+            if prim.is_zero():
                 continue
         key = prim._canonical_items()
         if key in seen:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .actions import GroupAction, Substitution
-from .fractions import RingFraction, split_for_ring
+from .fractions import RingFraction
 from .groebner import laurent_exact_divide
 from .poly import LaurentPoly
 from .rings import PresentedRing
@@ -274,9 +274,8 @@ def membership(frac: RingFraction, B: BlowupAlgebra) -> MembershipResult:
     saturated quotient.
     """
     wall = B.wall_product
-    laurent = B.ring.laurent_vars
-    num, den = split_for_ring(frac, laurent)
-    k, unit = factor_wall_denominator(den, wall, laurent)
+    num, den = B.ring.split(frac)
+    k, unit = factor_wall_denominator(den, wall, B.ring.laurent_vars)
     num = num * unit.monomial_inverse()
     if k == 0:
         cert = B.ring.nf(num)

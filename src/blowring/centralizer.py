@@ -12,19 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .actions import GroupAction, Substitution, invariant_generators
+from .actions import GroupAction, Substitution, _symmetrized_candidates, invariant_generators
 from .blowup import BlowupAlgebra, membership
-from .fractions import RingFraction, RingMap, split_for_ring
-from .groebner import (
-    Elimination,
-    Ideal,
-    laurent_ambient_vars,
-    polynomialize,
-    unit_relations,
-)
+from .fractions import RingFraction, RingMap
+from .groebner import Ideal
 from .poly import LaurentPoly, parse_poly
-from .rings import PresentedRing
-from .scalars import ONE, gauss
+from .rings import PresentedRing, kernel_of_map
+from .scalars import gauss
 
 I = gauss(0, 1)
 
@@ -482,36 +476,6 @@ def verify_parametrization(m: SliceModel) -> bool:
     return True
 
 
-def kernel_of_map(
-    ringmap: RingMap,
-    source_coords: Sequence[str],
-    laurent_vars: Sequence[str],
-    poly_vars: Sequence[str],
-) -> Ideal:
-    """The full relation ideal of a fractional parametrization.
-
-    Clears denominators, inverts them with an auxiliary variable
-    (saturation), and eliminates the target ring variables.
-    """
-    source_coords = tuple(source_coords)
-    ambient = laurent_ambient_vars(laurent_vars, poly_vars)
-    gens: list[LaurentPoly] = [g for g in unit_relations(laurent_vars)]
-    den_product = LaurentPoly.const(1)
-    seen = set()
-    for coord in source_coords:
-        frac = ringmap.images[coord]
-        num0, den0 = split_for_ring(frac, laurent_vars)
-        num = polynomialize(num0, laurent_vars)
-        den = polynomialize(den0, laurent_vars)
-        gens.append(LaurentPoly.var(coord) * den - num)
-        key = den._canonical_items()
-        if key not in seen and not den.is_monomial():
-            seen.add(key)
-            den_product = den_product * den
-    invert = [] if den_product.is_monomial() else [den_product]
-    return Elimination(ambient, source_coords, gens, invert).kept()
-
-
 def model_kernel(m: SliceModel) -> Ideal:
     return kernel_of_map(m.parametrization, m.coords, m.source_laurent, m.source_poly)
 
@@ -581,39 +545,10 @@ def blowup_match(m: SliceModel, B: BlowupAlgebra, degree_bound: int = 4) -> Matc
     failed: list[str] = []
     if images_invariant and all(members.values()):
         oracle = B.ring.subalgebra_oracle(certificates, [f"_m_{c}" for c in m.coords])
-        for inv in _blowup_invariants(B, degree_bound):
+        for _, inv in _symmetrized_candidates(B.weyl, degree_bound, B.ring):
             if not oracle.contains(inv):
                 failed.append(str(inv))
     return MatchReport(m.name, B.flavor, images_invariant, members, certs, failed)
-
-
-def _blowup_invariants(B: BlowupAlgebra, bound: int) -> list[LaurentPoly]:
-    """Reynolds symmetrizations of ambient monomials, reduced mod the ideal."""
-    from .actions import _exponent_box
-
-    weyl = B.weyl
-    lvars = tuple(B.ring.laurent_vars)
-    pvars = tuple(B.ring.poly_vars)
-    vars = lvars + pvars
-    out: list[LaurentPoly] = []
-    seen = set()
-    for exps in _exponent_box(len(lvars), len(pvars), bound):
-        if not any(exps):
-            continue
-        mono = LaurentPoly(vars, {exps: ONE})
-        sym = weyl.reynolds(mono)
-        if sym.is_zero():
-            continue
-        _, prim = sym.scaled_primitive()
-        red = B.ring.nf(prim)
-        if red.is_zero():
-            continue
-        key = red._canonical_items()
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(red)
-    return out
 
 
 def isogeny_invariants(

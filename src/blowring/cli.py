@@ -20,7 +20,7 @@ from .centralizer import (
     model,
     model_kernel,
 )
-from .fractions import parse_fraction
+from .fractions import RingFraction, parse_fraction
 from .fusion import FusionRangeError, fusion_table
 from .groebner import ResourceLimitError, term_budget
 from .kring import KRing, KRingError
@@ -116,9 +116,9 @@ class UsageError(ValueError):
     pass
 
 
-def _parse_fractions(texts, allowed, where: str):
+def _parse_fractions(texts, allowed, where: str, parse=parse_fraction):
     """Parse fraction arguments, rejecting any variable outside ``allowed``."""
-    fracs = [parse_fraction(t) for t in texts]
+    fracs = [RingFraction.of(parse(t)) for t in texts]
     foreign = {v for f in fracs for p in (f.num, f.den) for v in p.support_vars()} - set(allowed)
     _require(not foreign, f"variables {sorted(foreign)} are not in the {where} {sorted(allowed)}")
     return fracs
@@ -150,15 +150,16 @@ def _compute_invariants(args, cfg) -> int:
 def _compute_multiply(args, cfg) -> int:
     _require(len(args.args) == 2, "multiply requires two element arguments")
     K = KRing()
-    values = []
-    for text in args.args:
-        if args.presentation == "abstract":
-            values.append(parse_poly(text, vars=("a", "b", "c")))
-        elif args.presentation == "localized":
-            values.append(K.localized_to_abstract(parse_fraction(text)))
-        else:
-            values.append(K.blowup_to_abstract(parse_poly(text)))
-    product = K.ring.nf(values[0] * values[1]).with_vars(("a", "b", "c"))
+    allowed = {
+        "abstract": ("a", "b", "c"),
+        "localized": ("y", "z"),
+        "blowup": K.blowup.ring.laurent_vars + K.blowup.ring.poly_vars,
+    }[args.presentation]
+    localized = args.presentation == "localized"
+    where = f"{args.presentation} presentation"
+    fracs = _parse_fractions(args.args, allowed, where, parse_fraction if localized else parse_poly)
+    values = [K.convert(f if localized else f.num, args.presentation, "abstract") for f in fracs]
+    product = K.ring.nf(values[0] * values[1])
     result = K.convert(product, "abstract", args.presentation)
     _emit(cfg, str(result), {"presentation": args.presentation, "product": str(result)})
     return EXIT_OK

@@ -9,7 +9,7 @@ from __future__ import annotations
 from typing import Mapping
 
 from .poly import LaurentPoly, format_poly, parse_poly
-from .scalars import GaussianRational, ONE
+from .scalars import GaussianRational
 
 
 class RingFraction:
@@ -147,32 +147,6 @@ def parse_fraction(text: str) -> RingFraction:
     if split is None:
         return RingFraction(parse_poly(text))
     return RingFraction(parse_poly(text[:split]), parse_poly(text[split + 1 :]))
-
-
-def split_for_ring(frac: RingFraction, laurent_vars) -> tuple[LaurentPoly, LaurentPoly]:
-    """(num, den) with negative powers of non-invertible variables cleared.
-
-    RingFraction folds single-term denominators into the numerator; relative
-    to a ring where some variables are not units that content must move back
-    to the denominator before ideal-theoretic work.
-    """
-    from .scalars import ONE
-
-    lset = set(laurent_vars)
-    num, den = frac.num, frac.den
-    shift: dict[str, int] = {}
-    for p in (num, den):
-        for v in p.vars:
-            if v in lset:
-                continue
-            m = p.min_degree_in(v)
-            if m < 0:
-                shift[v] = max(shift.get(v, 0), -m)
-    if shift:
-        mono = LaurentPoly.monomial(ONE, shift)
-        num = num * mono
-        den = den * mono
-    return num, den
 
 
 class RingMap:

@@ -1,9 +1,7 @@
 """Buchberger Gröbner engine over Gaussian rationals.
 
-The engine works in ordinary polynomial rings (nonnegative exponents).
-Laurent rings are handled by the unit-pair convention: every invertible
-variable v gets a partner v' with the relation v*v' = 1 adjoined, so all
-ideal computations stay textbook Buchberger.
+The engine works in ordinary polynomial rings (nonnegative exponents);
+Laurent rings are presented over it by ``rings.PresentedRing``.
 """
 
 from __future__ import annotations
@@ -471,51 +469,3 @@ class Elimination(Ideal):
 def _fresh_names(taken: set[str], count: int) -> list[str]:
     names = (f"_w{k}" for k in range(len(taken) + count))
     return [v for v in names if v not in taken][:count]
-
-
-# -- Laurent-ring support --------------------------------------------------------
-
-
-def inv_name(v: str) -> str:
-    return v + "'"
-
-
-def polynomialize(f: LaurentPoly, laurent_vars: Sequence[str]) -> LaurentPoly:
-    """Replace v^-k by (v')^k for every invertible variable v."""
-    lset = set(laurent_vars)
-    out_vars = list(f.vars)
-    seen = set(out_vars)
-    for v in f.vars:
-        if v in lset and inv_name(v) not in seen:
-            out_vars.append(inv_name(v))
-            seen.add(inv_name(v))
-    idx = {v: i for i, v in enumerate(out_vars)}
-    terms = {}
-    for exps, coeff in f.terms.items():
-        acc = [0] * len(out_vars)
-        for v, e in zip(f.vars, exps):
-            if e < 0:
-                if v not in lset:
-                    raise ValueError(f"negative exponent on non-invertible variable {v!r}")
-                acc[idx[inv_name(v)]] += -e
-            elif e:
-                acc[idx[v]] += e
-        key = tuple(acc)
-        prev = terms.get(key)
-        terms[key] = coeff if prev is None else prev + coeff
-    return LaurentPoly(tuple(out_vars), terms)
-
-
-def unit_relations(laurent_vars: Sequence[str]) -> list[LaurentPoly]:
-    rels = []
-    for v in laurent_vars:
-        rels.append(LaurentPoly.var(v) * LaurentPoly.var(inv_name(v)) - 1)
-    return rels
-
-
-def laurent_ambient_vars(laurent_vars: Sequence[str], poly_vars: Sequence[str]) -> tuple[str, ...]:
-    out = []
-    for v in laurent_vars:
-        out.extend((v, inv_name(v)))
-    out.extend(poly_vars)
-    return tuple(out)

@@ -12,6 +12,7 @@ raises instead of guessing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .blowup import BlowupAlgebra, build_blowup, membership
 from .centralizer import model
@@ -92,7 +93,7 @@ def abstract_ring(relation: LaurentPoly | None = None) -> PresentedRing:
 def kring_multiply(f: LaurentPoly, g: LaurentPoly, ring: PresentedRing | None = None) -> LaurentPoly:
     """Product in the abstract presentation, reduced modulo the relation."""
     ring = ring or abstract_ring()
-    return ring.nf(f * g).with_vars(("a", "b", "c"))
+    return ring.nf(f * g)
 
 
 def subring_filter(f: LaurentPoly, side: str) -> bool:
@@ -185,7 +186,7 @@ class KRing:
         rewritten = self._blowup_oracle().rewrite(g)
         if rewritten is None:
             raise KRingError("blow-up element is not in the convolution subring")
-        return self.ring.nf(rewritten).with_vars(("a", "b", "c"))
+        return self.ring.nf(rewritten)
 
     def localized_to_abstract(self, frac: RingFraction) -> LaurentPoly:
         return self.blowup_to_abstract(self.localized_to_blowup(frac))
@@ -196,48 +197,41 @@ class KRing:
 
     # -- the localization identities -----------------------------------------
 
-    def localization_checks(self) -> dict[str, bool]:
+    def localization_checks(self) -> dict[str, Callable[[], bool]]:
         """The Iwahori localization identities, in the localized presentation.
 
-        The skyscraper classes enter only through the combination
-        u_0 - u_2 = -i * y^-1; eliminating it turns the second formula into
-        y + y^-1 = i(2 v(0)_1 - v(1)_0 v(1)_1), and consistency with the
-        first one is exactly the generator equation behind v(2)_1.
+        One thunk per identity. The skyscraper classes enter only through the
+        combination u_0 - u_2 = -i * y^-1; eliminating it turns the second
+        formula into y + y^-1 = i(2 v(0)_1 - v(1)_0 v(1)_1), and consistency
+        with the first one is exactly the generator equation behind v(2)_1.
         """
         i = gauss(0, 1)
-        y = LaurentPoly.var("y")
+        y, z = LaurentPoly.gens("y z")
         loc = self.abstract_to_localized
-        a_l = loc(parse_poly("a"))
-        b_l = loc(parse_poly("b"))
-        c_l = loc(parse_poly("c"))
-        v01 = b_l
+        a_l, v01, c_l = (loc(parse_poly(s)) for s in "abc")
         v21 = loc(v_dictionary(2, 1))
-        checks = {}
-        # y + y^-1 = i(2 v(0)_1 - v(1)_0 v(1)_1)
-        checks["moka_sum"] = (a_l * c_l - v01 * 2) * i == RingFraction(-(y + y**-1))
-        # y - y^-1 = i (z - z^-1) v(1)_1
-        z = LaurentPoly.var("z")
-        checks["moka_difference"] = RingFraction((z - z**-1) * i) * c_l == RingFraction(y - y**-1)
-        # y = i(v(0)_1 - v(2)_1 + u_2 - u_0) with u_0 - u_2 = -i y^-1
         u_diff = RingFraction(y**-1 * -i)
-        checks["skyscraper_combination"] = (v01 - v21) * i - u_diff * i == RingFraction(y)
-        return checks
+        return {
+            # y + y^-1 = i(2 v(0)_1 - v(1)_0 v(1)_1)
+            "moka_sum": lambda: (a_l * c_l - v01 * 2) * i == RingFraction(-(y + y**-1)),
+            # y - y^-1 = i (z - z^-1) v(1)_1
+            "moka_difference": lambda: RingFraction((z - z**-1) * i) * c_l == RingFraction(y - y**-1),
+            # y = i(v(0)_1 - v(2)_1 + u_2 - u_0) with u_0 - u_2 = -i y^-1
+            "skyscraper_combination": lambda: (v01 - v21) * i - u_diff * i == RingFraction(y),
+        }
 
 
-def dictionary_rederivations() -> dict[str, bool]:
-    """Re-derive the consequence entries from the generator equations."""
+def dictionary_rederivations() -> dict[str, Callable[[], bool]]:
+    """Re-derive the consequence entries from the generator equations, one thunk per entry."""
     a, b, c = (parse_poly(s, vars=("a", "b", "c")) for s in "abc")
     ring = abstract_ring()
-    checks = {}
-    v_m11 = v_dictionary(-1, 1)
-    checks["v(-1)_1 from the evident relation"] = ring.equal(
-        kring_multiply(a, b), v_dictionary(1, 1) + v_m11
-    )
-    checks["v(0)_2 = v(0)_1 * v(0)_1"] = ring.equal(kring_multiply(b, b), v_dictionary(0, 2))
-    checks["v(2)_0 = v(1)_0 * v(1)_0 - 1"] = ring.equal(
-        kring_multiply(a, a) - 1, v_dictionary(2, 0)
-    )
-    checks["v(2)_1 = v(1)_1 * v(1)_0 - v(0)_1"] = ring.equal(
-        kring_multiply(c, a) - b, v_dictionary(2, 1)
-    )
-    return checks
+    return {
+        "v(-1)_1 from the evident relation": lambda: ring.equal(
+            kring_multiply(a, b, ring), v_dictionary(1, 1) + v_dictionary(-1, 1)
+        ),
+        "v(0)_2 = v(0)_1 * v(0)_1": lambda: ring.equal(kring_multiply(b, b, ring), v_dictionary(0, 2)),
+        "v(2)_0 = v(1)_0 * v(1)_0 - 1": lambda: ring.equal(kring_multiply(a, a, ring) - 1, v_dictionary(2, 0)),
+        "v(2)_1 = v(1)_1 * v(1)_0 - v(0)_1": lambda: ring.equal(
+            kring_multiply(c, a, ring) - b, v_dictionary(2, 1)
+        ),
+    }

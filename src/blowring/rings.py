@@ -1,24 +1,26 @@
 """Presented rings: generators, a relation ideal and quotient-ring services.
 
-A PresentedRing is a quotient of a mixed Laurent/polynomial ring. Internally
-everything is pushed into an ordinary polynomial ring via the unit-pair
-convention, so normal forms, memberships, certificates and subalgebra
-rewriting are all plain Gröbner computations.
+A PresentedRing is a quotient of a mixed Laurent/polynomial ring. Every
+polynomial that goes in or comes out (normal forms, division and membership
+certificates, subalgebra generators, kernels) is a Laurent polynomial in the
+ring's own variables.
+
+Internally each invertible variable v gets a partner v' with v*v' - 1
+adjoined (the unit-pair encoding), so every computation is a plain Gröbner
+computation; that encoding is private to this module. A normal form modulo
+an ideal containing v*v' - 1 has no monomial divisible by v*v', so mapping
+(v')^k back to v^-k on the way out is injective and the Laurent form of a
+normal form is canonical.
 """
 
 from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from .groebner import (
-    Elimination,
-    Ideal,
-    PolyRing,
-    laurent_ambient_vars,
-    polynomialize,
-    unit_relations,
-)
+from .fractions import RingFraction, RingMap
+from .groebner import Elimination, Ideal, PolyRing
 from .poly import LaurentPoly
+from .scalars import ONE
 
 
 class PresentedRing:
@@ -34,23 +36,84 @@ class PresentedRing:
         self.poly_vars = tuple(poly_vars)
         self.relations = list(relations)
         self.grading = dict(grading) if grading else None
-        self.ambient_vars = laurent_ambient_vars(self.laurent_vars, self.poly_vars)
-        self.ambient_ring = PolyRing(self.ambient_vars)
+        self._vars = self.laurent_vars + self.poly_vars
+        # ambient order: v, v' for each invertible v, then the polynomial variables
+        self._ambient = tuple(w for v in self.laurent_vars for w in (v, v + "'")) + self.poly_vars
+        self._slot = {v: 2 * i for i, v in enumerate(self.laurent_vars)}
+        n = 2 * len(self.laurent_vars)
+        self._slot.update((v, n + i) for i, v in enumerate(self.poly_vars))
         if _ambient_gens is None:
-            gens = unit_relations(self.laurent_vars) + [self.to_ambient(r) for r in relations]
+            units = [LaurentPoly.var(v) * LaurentPoly.var(v + "'") - 1 for v in self.laurent_vars]
+            gens = units + [self._encode(r) for r in relations]
         else:
             gens = list(_ambient_gens)
-        self.ideal = Ideal(self.ambient_ring, gens)
+        self.ideal = Ideal(PolyRing(self._ambient), gens)
         self._division_cache: dict = {}
 
-    # -- conversions --------------------------------------------------------
+    # -- the unit-pair encoding -------------------------------------------------
 
-    def to_ambient(self, f: LaurentPoly) -> LaurentPoly:
-        """Clear negative exponents into unit-partner variables."""
-        return polynomialize(f, self.laurent_vars).with_vars(self.ambient_vars)
+    def _encode(self, f: LaurentPoly) -> LaurentPoly:
+        """f over the ambient variables, with v^-k written (v')^k."""
+        slots = []
+        for i, v in enumerate(f.vars):
+            j = self._slot.get(v)
+            if j is None and any(e[i] for e in f.terms):
+                raise ValueError(f"variable {v!r} not in target list")
+            slots.append(j)
+        n_units = 2 * len(self.laurent_vars)
+        width = len(self._ambient)
+        terms: dict = {}
+        for exps, coeff in f.terms.items():
+            acc = [0] * width
+            for j, e, v in zip(slots, exps, f.vars):
+                if e > 0:
+                    acc[j] += e
+                elif e < 0:
+                    if j >= n_units:
+                        raise ValueError(f"negative exponent on non-invertible variable {v!r}")
+                    acc[j + 1] -= e
+            key = tuple(acc)
+            prev = terms.get(key)
+            terms[key] = coeff if prev is None else prev + coeff
+        return LaurentPoly(self._ambient, terms)
+
+    def _decode(self, r: LaurentPoly) -> LaurentPoly:
+        """The Laurent form of an ambient polynomial: (v')^k read as v^-k."""
+        r = r.with_vars(self._ambient)
+        n = len(self.laurent_vars)
+        terms: dict = {}
+        for exps, coeff in r.terms.items():
+            key = tuple(exps[2 * i] - exps[2 * i + 1] for i in range(n)) + exps[2 * n :]
+            prev = terms.get(key)
+            terms[key] = coeff if prev is None else prev + coeff
+        return LaurentPoly(self._vars, terms)
+
+    def split(self, frac: RingFraction) -> tuple[LaurentPoly, LaurentPoly]:
+        """(num, den) of frac with negative powers of non-invertible variables cleared.
+
+        RingFraction folds single-term denominators into the numerator; in a
+        ring where some variables are not units that content must move back
+        to the denominator before ideal-theoretic work.
+        """
+        units = set(self.laurent_vars)
+        num, den = frac.num, frac.den
+        shift: dict[str, int] = {}
+        for p in (num, den):
+            for v in p.vars:
+                if v not in units:
+                    m = p.min_degree_in(v)
+                    if m < 0:
+                        shift[v] = max(shift.get(v, 0), -m)
+        if shift:
+            mono = LaurentPoly.monomial(ONE, shift)
+            num = num * mono
+            den = den * mono
+        return num, den
+
+    # -- normal forms ---------------------------------------------------------
 
     def nf(self, f: LaurentPoly) -> LaurentPoly:
-        return self.ideal.normal_form(self.to_ambient(f))
+        return self._decode(self.ideal.normal_form(self._encode(f)))
 
     def equal(self, f: LaurentPoly, g: LaurentPoly) -> bool:
         return self.nf(f - g).is_zero()
@@ -59,7 +122,7 @@ class PresentedRing:
 
     def saturated(self, by: LaurentPoly) -> "PresentedRing":
         """Same presentation with the relation ideal saturated at ``by``."""
-        sat = self.ideal.saturate(self.to_ambient(by))
+        sat = self.ideal.saturate(self._encode(by))
         return PresentedRing(
             self.laurent_vars,
             self.poly_vars,
@@ -76,13 +139,15 @@ class PresentedRing:
         Implemented with an auxiliary inverse variable in an elimination
         block, so a w-free normal form of num*w^power IS the certificate.
         """
-        den_key = str(self.to_ambient(den))
+        den = self._encode(den)
+        den_key = str(den)
         elim = self._division_cache.get(den_key)
         if elim is None:
-            elim = Elimination((), self.ambient_vars, self.ideal.gens, [self.to_ambient(den)])
+            elim = Elimination((), self._ambient, self.ideal.gens, [den])
             self._division_cache[den_key] = elim
         (w,) = elim.aux
-        return elim.certificate(self.to_ambient(num) * LaurentPoly.var(w) ** power)
+        cert = elim.certificate(self._encode(num) * LaurentPoly.var(w) ** power)
+        return None if cert is None else self._decode(cert)
 
     # -- subalgebra membership ---------------------------------------------------
 
@@ -130,11 +195,38 @@ class SubalgebraOracle:
         self.tags = tuple(tags)
         gens = list(ring.ideal.gens)
         for tag, gen in zip(self.tags, generators):
-            gens.append(LaurentPoly.var(tag) - ring.to_ambient(gen))
-        self.ideal = Elimination(ring.ambient_vars, self.tags, gens, ())
+            gens.append(LaurentPoly.var(tag) - ring._encode(gen))
+        self.ideal = Elimination(ring._ambient, self.tags, gens, ())
 
     def rewrite(self, f: LaurentPoly) -> LaurentPoly | None:
-        return self.ideal.certificate(self.ring.to_ambient(f))
+        return self.ideal.certificate(self.ring._encode(f))
 
     def contains(self, f: LaurentPoly) -> bool:
         return self.rewrite(f) is not None
+
+
+def kernel_of_map(
+    ringmap: RingMap,
+    source_coords: Sequence[str],
+    laurent_vars: Sequence[str],
+    poly_vars: Sequence[str],
+) -> Ideal:
+    """The full relation ideal of a fractional parametrization.
+
+    Clears denominators, inverts them with an auxiliary variable
+    (saturation), and eliminates the target ring variables.
+    """
+    target = PresentedRing(laurent_vars, poly_vars)
+    source_coords = tuple(source_coords)
+    gens = list(target.ideal.gens)
+    den_product = LaurentPoly.const(1)
+    seen = set()
+    for coord in source_coords:
+        num, den = (target._encode(p) for p in target.split(ringmap.images[coord]))
+        gens.append(LaurentPoly.var(coord) * den - num)
+        key = den._canonical_items()
+        if key not in seen and not den.is_monomial():
+            seen.add(key)
+            den_product = den_product * den
+    invert = [] if den_product.is_monomial() else [den_product]
+    return Elimination(target._ambient, source_coords, gens, invert).kept()

@@ -1,9 +1,11 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from blowring.blowup import (
+    FLAVORS,
     BlowupError,
     build_blowup,
     denis_check,
@@ -13,6 +15,7 @@ from blowring.blowup import (
     unit_comparison,
 )
 from blowring.fractions import RingFraction
+from blowring.poisson import standard_chart
 from blowring.poly import LaurentPoly, parse_poly
 from blowring.rootdata import sl2
 
@@ -97,14 +100,9 @@ class TestMembership:
         res = membership(frac, B)
         assert res.member
         # the certificate equals (z/y) T in the quotient
-        zy_t = B.ring.nf(B.ring.to_ambient(z * y**-1) * LaurentPoly.var("T"))
-        assert B.ring.nf(res.certificate - zy_t).is_zero()
-        # Schwartz-Zippel screen on the certificate identity
-        assert sz_agree(
-            frac * RingFraction(z**2 - 1),
-            RingFraction(z * y**-1 * (y**2 - 1)),
-            ("y", "z"),
-        )
+        assert B.ring.equal(res.certificate, z * y**-1 * LaurentPoly.var("T"))
+        # and (z/y) T is the fraction, with T = (y^2-1)/(z^2-1)
+        assert frac == RingFraction(z * y**-1 * (y**2 - 1), z**2 - 1)
 
     def test_non_member(self, blowups):
         res = membership(RingFraction(LaurentPoly.const(1), z**2 - 1), blowups["GG"])
@@ -140,6 +138,32 @@ class TestMembership:
         for frac in named:
             assert RingFraction(w(frac.num), w(frac.den)) == frac
             assert membership(frac, B).member
+
+
+class TestLaurentCertificates:
+    """Certificates and normal forms come back in the ring's own variables."""
+
+    @pytest.mark.parametrize("flavor", FLAVORS)
+    def test_results_use_ring_variables(self, blowups, flavor):
+        B = blowups[flavor]
+        own = set(B.ring.laurent_vars + B.ring.poly_vars)
+        chart = standard_chart(B)
+        fracs = [RingFraction(B.numerators[0], B.walls[0])]
+        fracs += [chart.bracket(f, g) for f, g in combinations(B.invariant_gens, 2)]
+        for frac in fracs:
+            if frac.is_zero():
+                continue
+            res = membership(frac, B)
+            assert res.member, str(frac)
+            assert set(res.certificate.support_vars()) <= own, str(res.certificate)
+        units = LaurentPoly.const(1)
+        for v in B.ring.laurent_vars:
+            units = units * LaurentPoly.var(v) ** -1
+        normal = B.ring.nf(units * (B.numerators[0] + 1))
+        quotient = B.ring.divide(units * B.numerators[0], B.walls[0])
+        for p in (normal, quotient):
+            assert set(p.support_vars()) <= own, str(p)
+        assert B.ring.equal(quotient, units * LaurentPoly.var(B.gen_names[0]))
 
 
 class TestDenis:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from blowring.centralizer import (
@@ -192,6 +194,16 @@ class TestBlowupMatch:
     def test_flavor_mismatch_rejected(self, blowups):
         with pytest.raises(CentralizerError):
             blowup_match(model("S"), blowups["gg"])
+
+    def test_missing_invariant_fails_the_match(self, blowups):
+        # z^2 + z^-2 is W-invariant and a member, but z + z^-1 is not a polynomial in it and zeta
+        m = model("A2-Gg")
+        z = LaurentPoly.var("z")
+        images = dict(m.parametrization.images, a=RingFraction(z**2 + z**-2))
+        report = blowup_match(replace(m, parametrization=RingMap(images)), blowups["Gg"], degree_bound=4)
+        assert report.images_invariant and all(report.image_members.values())
+        assert not report.passed
+        assert "z + z^-1" in report.failed_invariants
 
     def test_image_certificates(self, blowups):
         report = blowup_match(model("A2-gg"), blowups["gg"], degree_bound=2)

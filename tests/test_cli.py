@@ -56,6 +56,18 @@ class TestCompute:
         assert code == EXIT_OK
         assert "member=True" in out and "certificate=T" in out
 
+    def test_membership_certificate_in_laurent_notation(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "compute", "membership", "--flavor", "GG", "(y-y^-1)/(z-z^-1)", "--output", "json"
+        )
+        assert code == EXIT_OK
+        cert = json.loads(out)["certificate"]
+        assert "'" not in cert and "z^-1" in cert
+
+    def test_multiply_blowup_outside_convolution_subring_exit_one(self, capsys):
+        code, _, _ = run_cli(capsys, "compute", "multiply", "--presentation", "blowup", "T", "z+z^-1")
+        assert code == EXIT_FAIL
+
     def test_membership_false_exit_one(self, capsys):
         code, out, _ = run_cli(capsys, "compute", "membership", "--flavor", "GG", "1/(z^2-1)")
         assert code == EXIT_FAIL
@@ -74,6 +86,9 @@ class TestCompute:
             ("bracket", "--flavor", "GG", "y", "1/(x-1)"),  # x is not a GG variable
             ("bracket", "--flavor", "GG", "y", "T"),  # T is not a chart coordinate
             ("membership", "--flavor", "GG", "x"),
+            ("multiply", "--presentation", "abstract", "q", "a"),
+            ("multiply", "--presentation", "localized", "q", "z+z^-1"),
+            ("multiply", "--presentation", "blowup", "q", "z+z^-1"),
         ],
     )
     def test_foreign_variable_exit_two(self, capsys, argv):

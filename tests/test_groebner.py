@@ -11,9 +11,7 @@ from blowring.groebner import (
     PolyRing,
     ResourceLimitError,
     laurent_exact_divide,
-    polynomialize,
     term_budget,
-    unit_relations,
 )
 from blowring.poly import LaurentPoly, parse_poly
 from blowring.rings import PresentedRing
@@ -206,12 +204,13 @@ class TestSaturation:
 
 
 class TestLaurentSupport:
-    def test_polynomialize(self):
+    def test_laurent_normal_form_round_trips(self):
         f = parse_poly("y^-2 + 3*y*z^-1")
-        g = polynomialize(f, ["y", "z"])
-        assert set(g.support_vars()) == {"y'", "y", "z'"}
-        with pytest.raises(ValueError):
-            polynomialize(parse_poly("x^-1"), [])
+        assert PresentedRing(("y", "z"), ()).nf(f) == f
+        with pytest.raises(ValueError, match="non-invertible"):
+            PresentedRing((), ("x",)).nf(parse_poly("x^-1"))
+        with pytest.raises(ValueError, match="not in target list"):
+            PresentedRing(("y",), ()).nf(parse_poly("q"))
 
     def test_exact_division(self):
         y, z = LaurentPoly.gens("y z")
