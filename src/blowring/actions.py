@@ -148,39 +148,53 @@ def invariant_generators(
     action: GroupAction,
     laurent_vars: Sequence[str] = (),
     poly_vars: Sequence[str] = (),
-    degree_bound: int = 2,
-    ring: PresentedRing | None = None,
-    tag_prefix: str = "_s",
+    degree_bound: int | None = None,
 ) -> list[LaurentPoly]:
-    """Generators of the invariant ring up to the degree bound.
-
-    Symmetrizes every monomial with exponent height <= degree_bound, walks the
-    candidates degree by degree and keeps those not already in the subalgebra
-    generated in strictly smaller degrees (Gröbner subalgebra-membership
-    oracle). Deterministic; complete at the bound by construction: every
-    candidate symmetrization lies in the algebra generated by the output.
-    """
-    if ring is None:
-        ring = PresentedRing(laurent_vars, poly_vars, [])
-    candidates = _symmetrized_candidates(action, degree_bound, ring)
+    """Generators of the invariant ring: the Reynolds images of the monomials of
+    exponent height <= degree_bound, walked by height, keeping those not in the
+    subalgebra that lower heights generate (Gröbner subalgebra-membership
+    oracle). Every candidate lies in the algebra the output generates. The
+    default height |G| (Noether's bound) makes the output generate the whole
+    invariant ring; see ``_noether_bound``."""
+    if degree_bound is None:
+        degree_bound = _noether_bound(action, laurent_vars, poly_vars)
+    if degree_bound < 1:
+        raise ValueError(f"degree bound must be positive, got {degree_bound}")
+    ring = PresentedRing(laurent_vars, poly_vars, [])
     gens: list[LaurentPoly] = []
-    oracle = None
-    batch_start = 0
-    current_height = None
-    for (height, _), cand in candidates:
-        if height != current_height:
-            # seal the previous batch into the oracle
-            if len(gens) > batch_start or oracle is None:
-                if gens:
-                    oracle = ring.subalgebra_oracle(
-                        gens, [f"{tag_prefix}{k}" for k in range(len(gens))]
-                    )
-            batch_start = len(gens)
-            current_height = height
-        if oracle is not None and oracle.contains(cand):
-            continue
-        gens.append(cand)
+    oracle, sealed, height = None, 0, None
+    for (h, _), cand in _symmetrized_candidates(action, degree_bound, ring):
+        # candidates of one height are tested against the lower heights only
+        if h != height and len(gens) > sealed:
+            oracle = ring.subalgebra_oracle(gens, [f"_s{k}" for k in range(len(gens))])
+            sealed = len(gens)
+        height = h
+        if oracle is None or not oracle.contains(cand):
+            gens.append(cand)
     return gens
+
+
+def _noether_bound(action: GroupAction, laurent_vars: Sequence[str], poly_vars: Sequence[str]) -> int:
+    """|G|, after checking that each generator sends every variable to a scalar
+    times one variable of the same kind, to the power -1 only between Laurent
+    variables. G then acts linearly on the span of the variables and the
+    Laurent inverses; the polynomial ring on that span maps onto the ring
+    equivariantly, so Noether's bound (in characteristic 0 the invariants are
+    generated in degree <= |G|) holds for exponent height. Raises ValueError
+    for any other action."""
+    powers = dict.fromkeys(laurent_vars, (1, -1)) | dict.fromkeys(poly_vars, (1,))
+    # a permutation: every image is one variable of the same kind, all distinct
+    for s in action.generators:
+        images = {v: s.image_of(v)[1] for v in powers}
+        if len({w for mono in images.values() for w in mono}) < len(powers) or not all(
+            len(mono) == 1 and all(powers.get(w) == powers[v] and e in powers[v] for w, e in mono.items())
+            for v, mono in images.items()
+        ):
+            raise ValueError(
+                f"{s!r} does not permute the variables and the Laurent inverses up to scalars, "
+                "so |G| is not a proven degree bound: pass degree_bound"
+            )
+    return action.order()
 
 
 def _symmetrized_candidates(action, bound, ring):

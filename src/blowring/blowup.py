@@ -62,9 +62,6 @@ class BlowupAlgebra:
             prod = prod * w
         return prod
 
-    def laurent_vars(self) -> tuple[str, ...]:
-        return self.ring.laurent_vars
-
     def __repr__(self):
         gens = ", ".join(
             f"{t} = ({n}) / ({w})" for t, n, w in zip(self.gen_names, self.numerators, self.walls)

@@ -337,6 +337,13 @@ class SliceModel:
     source_laurent: tuple[str, ...]
     source_poly: tuple[str, ...]
 
+    def action(self, which: Iterable[str]) -> GroupAction:
+        """The group generated by the named involutions."""
+        try:
+            return GroupAction([self.involutions[name] for name in which])
+        except KeyError as exc:
+            raise CentralizerError(f"model {self.name} has no involution {exc.args[0]!r}") from None
+
     def coordinate_ring(self) -> PresentedRing:
         rels = [self.relation] if self.relation is not None else []
         return PresentedRing((), self.coords, rels)
@@ -518,7 +525,10 @@ class MatchReport:
         }
 
 
-def blowup_match(m: SliceModel, B: BlowupAlgebra, degree_bound: int = 4) -> MatchReport:
+MATCH_BOX_HEIGHT = 4  # the exponent-height box of blowup_match, named in its verify records
+
+
+def blowup_match(m: SliceModel, B: BlowupAlgebra, degree_bound: int = MATCH_BOX_HEIGHT) -> MatchReport:
     """Two-sided desk-scale identification of a model with its blow-up.
 
     (1) every model coordinate maps to a W-invariant member of the blow-up;
@@ -551,14 +561,7 @@ def blowup_match(m: SliceModel, B: BlowupAlgebra, degree_bound: int = 4) -> Matc
     return MatchReport(m.name, B.flavor, images_invariant, members, certs, failed)
 
 
-def isogeny_invariants(
-    m: SliceModel, which: Iterable[str] = ("iota",), degree_bound: int = 2
-) -> list[LaurentPoly]:
-    """Generators of the invariant subring of the model under its involutions."""
-    subs = []
-    for name in which:
-        if name not in m.involutions:
-            raise CentralizerError(f"model {m.name} has no involution {name!r}")
-        subs.append(m.involutions[name])
-    action = GroupAction(subs)
-    return invariant_generators(action, poly_vars=m.coords, degree_bound=degree_bound)
+def isogeny_invariants(m: SliceModel, which: Iterable[str] = ("iota",)) -> list[LaurentPoly]:
+    """Generators of the invariant subring of the model under its involutions,
+    complete by Noether's bound (the involutions are signed coordinate flips)."""
+    return invariant_generators(m.action(which), poly_vars=m.coords)

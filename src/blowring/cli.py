@@ -10,16 +10,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields, replace
 
 from .blowup import BlowupError, FLAVORS, build_blowup, membership
 from .centralizer import (
     CentralizerError,
     MODEL_NAMES,
-    isogeny_invariants,
     kernel_matches_relation,
     model,
     model_kernel,
 )
+from .actions import invariant_generators
 from .fractions import RingFraction, parse_fraction
 from .fusion import FusionRangeError, fusion_table
 from .groebner import ResourceLimitError, term_budget
@@ -42,11 +43,10 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=S, help="JSON config file")
     common.add_argument("--output", choices=("json", "csv", "text"), default=S, help="output format")
-    common.add_argument("--seed", type=int, default=S, help="seed for randomized property checks")
-    common.add_argument("--degree-bound", type=int, dest="degree_bound", default=S)
+    common.add_argument("--seed", type=int, default=S, help="verify: seed for randomized property checks")
     common.add_argument("--term-cap", type=int, dest="term_cap", default=S)
     common.add_argument(
-        "--timing", action="store_true", default=S, help="report real timings (nondeterministic)"
+        "--timing", action="store_true", default=S, help="verify: report real timings (nondeterministic)"
     )
 
     parser = argparse.ArgumentParser(
@@ -71,6 +71,10 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--flavor", choices=FLAVORS)
     c.add_argument("--presentation", choices=("abstract", "localized", "blowup"), default="abstract")
     c.add_argument("--which", default="iota", help="comma-separated involutions for invariants")
+    c.add_argument(
+        "--degree-bound", type=int, dest="degree_bound",
+        help="invariants: exponent-height bound (default |G|, Noether's bound)",
+    )
     c.add_argument("--kind", choices=("odin", "dva", "tri"))
     c.add_argument("--a", type=int)
     c.add_argument("--b", type=int)
@@ -81,13 +85,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def make_config(args) -> Config:
-    config_path = getattr(args, "config", None)
-    cfg = Config.from_file(config_path) if config_path else Config()
-    for field in ("output", "seed", "degree_bound", "term_cap", "timing"):
-        value = getattr(args, field, None)
-        if value is not None:
-            setattr(cfg, field, value)
-    return Config(**vars(cfg))  # revalidate
+    cfg = Config.from_file(args.config) if hasattr(args, "config") else Config()
+    given = {f.name: getattr(args, f.name) for f in fields(Config) if hasattr(args, f.name)}
+    return replace(cfg, **given)  # revalidates
 
 
 def cmd_verify(args, cfg: Config) -> int:
@@ -104,6 +104,11 @@ def cmd_verify(args, cfg: Config) -> int:
 
 
 def cmd_compute(args, cfg: Config) -> int:
+    unread = [f"--{name}" for name in ("seed", "timing") if hasattr(args, name)]
+    unread += ["--degree-bound"] if args.degree_bound is not None and args.task != "invariants" else []
+    _require(not unread, f"compute {args.task} does not read {', '.join(unread)}")
+    arity = ELEMENT_ARGUMENTS.get(args.task, 0)
+    _require(len(args.args) == arity, f"{args.task} takes {arity} element argument(s), got {args.args}")
     return COMPUTE_TASKS[args.task](args, cfg)
 
 
@@ -116,11 +121,15 @@ class UsageError(ValueError):
     pass
 
 
-def _parse_fractions(texts, allowed, where: str, parse=parse_fraction):
-    """Parse fraction arguments, rejecting any variable outside ``allowed``."""
+def _parse_fractions(texts, allowed, where: str, parse=parse_fraction, units=None):
+    """Parse fraction arguments, rejecting any variable outside ``allowed`` and,
+    when ``units`` is given, a negative power of any variable outside it."""
     fracs = [RingFraction.of(parse(t)) for t in texts]
     foreign = {v for f in fracs for p in (f.num, f.den) for v in p.support_vars()} - set(allowed)
     _require(not foreign, f"variables {sorted(foreign)} are not in the {where} {sorted(allowed)}")
+    if units is not None:
+        bad = {v for f in fracs for p in (f.num, f.den) for v in p.support_vars() if p.min_degree_in(v) < 0}
+        _require(bad <= set(units), f"negative power of a non-unit {sorted(bad - set(units))} in the {where}")
     return fracs
 
 
@@ -128,36 +137,38 @@ def _compute_kernel(args, cfg) -> int:
     _require(args.model, "kernel requires --model")
     m = model(args.model)
     kernel = model_kernel(m)
-    gens = [str(g) for g in kernel.groebner()]
-    if m.relation is None:
-        _emit(cfg, "; ".join(gens) or "0", {"model": m.name, "kernel": gens})
-        return EXIT_OK
-    if kernel_matches_relation(m, kernel):
-        _emit(cfg, m.relation_str, {"model": m.name, "kernel": [m.relation_str]})
-        return EXIT_OK
-    _emit(cfg, "; ".join(gens), {"model": m.name, "kernel": gens})
-    return EXIT_FAIL
+    ok = m.relation is None or kernel_matches_relation(m, kernel)
+    gens = [m.relation_str] if ok and m.relation else [str(g) for g in kernel.groebner()]
+    _emit(cfg, "; ".join(gens) or "0", {"model": m.name, "kernel": gens})
+    return EXIT_OK if ok else EXIT_FAIL
 
 
 def _compute_invariants(args, cfg) -> int:
     _require(args.model, "invariants requires --model")
-    which = tuple(w for w in args.which.split(",") if w)
-    gens = isogeny_invariants(model(args.model), which, degree_bound=cfg.degree_bound)
+    m = model(args.model)
+    action = m.action(w for w in args.which.split(",") if w)
+    bound = args.degree_bound
+    if bound is not None:
+        _require(bound >= 1, f"--degree-bound must be positive, got {bound}")
+        if bound < action.order():
+            print(f"note: degree bound {bound} is below the group order {action.order()} "
+                  "(Noether's bound); the list may be incomplete", file=sys.stderr)
+    gens = invariant_generators(action, poly_vars=m.coords, degree_bound=bound)
     _emit(cfg, ", ".join(str(g) for g in gens), {"model": args.model, "generators": [str(g) for g in gens]})
     return EXIT_OK
 
 
 def _compute_multiply(args, cfg) -> int:
-    _require(len(args.args) == 2, "multiply requires two element arguments")
     K = KRing()
-    allowed = {
-        "abstract": ("a", "b", "c"),
-        "localized": ("y", "z"),
-        "blowup": K.blowup.ring.laurent_vars + K.blowup.ring.poly_vars,
+    units, others = {
+        "abstract": ((), ("a", "b", "c")),
+        "localized": (("y", "z"), ()),
+        "blowup": (K.blowup.ring.laurent_vars, K.blowup.ring.poly_vars),
     }[args.presentation]
     localized = args.presentation == "localized"
     where = f"{args.presentation} presentation"
-    fracs = _parse_fractions(args.args, allowed, where, parse_fraction if localized else parse_poly)
+    parse = parse_fraction if localized else parse_poly
+    fracs = _parse_fractions(args.args, units + others, where, parse, units)
     values = [K.convert(f if localized else f.num, args.presentation, "abstract") for f in fracs]
     product = K.ring.nf(values[0] * values[1])
     result = K.convert(product, "abstract", args.presentation)
@@ -167,7 +178,6 @@ def _compute_multiply(args, cfg) -> int:
 
 def _compute_bracket(args, cfg) -> int:
     _require(args.flavor, "bracket requires --flavor")
-    _require(len(args.args) == 2, "bracket requires two fraction arguments")
     B = build_blowup(sl2(), args.flavor)
     chart = standard_chart(B, args.kappa)
     f, g = _parse_fractions(args.args, chart.kinds, f"{args.flavor} chart coordinates")
@@ -201,7 +211,6 @@ def _compute_closure(args, cfg) -> int:
 
 def _compute_membership(args, cfg) -> int:
     _require(args.flavor, "membership requires --flavor")
-    _require(len(args.args) == 1, "membership requires one fraction argument")
     B = build_blowup(sl2(), args.flavor)
     ring_vars = B.ring.laurent_vars + B.ring.poly_vars
     (frac,) = _parse_fractions(args.args, ring_vars, f"{args.flavor} variables")
@@ -217,14 +226,8 @@ def _compute_membership(args, cfg) -> int:
 
 def _compute_table(args, cfg) -> int:
     _require(args.kind, "table requires --kind")
-    params = {}
-    if args.kind == "tri":
-        _require(args.a is not None and args.b is not None and args.l is not None,
-                 "tri requires --a --b --l")
-        params = {"a": args.a, "b": args.b, "l": args.l}
-    else:
-        _require(args.n is not None and args.l is not None, f"{args.kind} requires --n --l")
-        params = {"n": args.n, "l": args.l}
+    params = {k: getattr(args, k) for k in (("a", "b", "l") if args.kind == "tri" else ("n", "l"))}
+    _require(None not in params.values(), f"{args.kind} requires " + " ".join(f"--{k}" for k in params))
     exp = fusion_table(args.kind, **params)
     if cfg.output == "csv":
         rows = ["kind,params,coeff_q_power,n,m"]
@@ -246,6 +249,8 @@ def _compute_table(args, cfg) -> int:
     _emit(cfg, str(exp), payload)
     return EXIT_OK
 
+
+ELEMENT_ARGUMENTS = {"multiply": 2, "bracket": 2, "membership": 1}
 
 COMPUTE_TASKS = {
     "kernel": _compute_kernel,

@@ -8,7 +8,6 @@ basis {1, xi}.
 
 from __future__ import annotations
 
-
 from .centralizer import isogeny_invariants, model
 from .groebner import BlockOrder, Ideal, PolyRing
 from .poly import LaurentPoly, parse_poly
@@ -39,15 +38,10 @@ class BMRing:
 
     def basis_check(self, bound: int = 3) -> dict:
         """{delta^p eta^r, delta^p eta^r xi : p, r <= bound} are normal forms."""
-        monomials = []
-        for p in range(bound + 1):
-            for r in range(bound + 1):
-                for s in (0, 1):
-                    monomials.append(
-                        LaurentPoly.monomial(1, {"delta": p, "eta": r, "xi": s}).with_vars(
-                            self.coords
-                        )
-                    )
+        monomials = [
+            LaurentPoly.monomial(1, {"delta": p, "eta": r, "xi": s}).with_vars(self.coords)
+            for p in range(bound + 1) for r in range(bound + 1) for s in (0, 1)
+        ]
         reduced = [self.basis_ideal.normal_form(m) for m in monomials]
         all_normal = all(m == r for m, r in zip(monomials, reduced))
         distinct = len({r._canonical_items() for r in reduced}) == len(monomials)
@@ -60,22 +54,6 @@ class BMRing:
             "passed": all_normal and distinct and len(monomials) == 2 * (bound + 1) ** 2,
         }
 
-    def invariant_subalgebra(self, bound: int = 2) -> list[LaurentPoly]:
+    def invariant_subalgebra(self) -> list[LaurentPoly]:
         """Generators of the even subring via the hypersurface model involution."""
-        return isogeny_invariants(model("S-prime"), ["iota"], degree_bound=bound)
-
-
-def bm_ring_ops(task: str, bound: int = 3, ring: BMRing | None = None) -> dict:
-    ring = ring or BMRing()
-    if task == "grading_check":
-        report = ring.grading_check()
-        report["passed"] = report["homogeneous"]
-        return report
-    if task == "basis_check":
-        return ring.basis_check(bound)
-    if task == "invariant_subalgebra":
-        gens = ring.invariant_subalgebra(min(bound, 2))
-        expected = {"delta", "xi^2", "eta^2", "xi*eta"}
-        got = {str(g) for g in gens}
-        return {"generators": sorted(got), "passed": got == expected}
-    raise ValueError(f"unknown task {task!r}")
+        return isogeny_invariants(model("S-prime"), ["iota"])

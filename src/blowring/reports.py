@@ -4,24 +4,25 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
+from typing import get_type_hints
 
 from .groebner import DEFAULT_TERM_CAP
-
-STATUSES = ("pass", "fail", "skipped-ambiguous")
 
 
 @dataclass
 class Config:
-    degree_bound: int = 4
     term_cap: int = DEFAULT_TERM_CAP
     seed: int = 0
     output: str = "text"
     timing: bool = False
 
     def __post_init__(self):
-        if self.degree_bound < 1 or self.term_cap < 1:
-            raise ValueError("bounds must be positive")
+        for name, kind in get_type_hints(Config).items():
+            if type(getattr(self, name)) is not kind:
+                raise ValueError(f"config value {name}={getattr(self, name)!r} is not a {kind.__name__}")
+        if self.term_cap < 1:
+            raise ValueError("term_cap must be positive")
         if self.output not in ("json", "csv", "text"):
             raise ValueError(f"unknown output format {self.output!r}")
 
@@ -29,8 +30,9 @@ class Config:
     def from_file(cls, path: str) -> "Config":
         with open(path) as fh:
             data = json.load(fh)
-        allowed = {"degree_bound", "term_cap", "seed", "output", "timing"}
-        unknown = set(data) - allowed
+        if not isinstance(data, dict):
+            raise ValueError(f"config file {path} does not hold a JSON object")
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config keys {sorted(unknown)}")
         return cls(**data)

@@ -4,8 +4,11 @@ from itertools import product
 import pytest
 
 from blowring.actions import GroupAction, GroupCapExceeded, Substitution, invariant_generators
+from blowring.blowup import build_blowup
+from blowring.centralizer import model
 from blowring.fractions import RingFraction
 from blowring.poly import LaurentPoly, parse_poly
+from blowring.rootdata import sl2
 
 from conftest import random_laurent
 
@@ -162,3 +165,55 @@ class TestInvariantGenerators:
         A = GroupAction([W])
         for g in invariant_generators(A, laurent_vars=["y", "z"], degree_bound=2):
             assert A.is_invariant(g)
+
+
+class TestNoetherBound:
+    """Without a degree bound the height is |G|, which proves completeness."""
+
+    @pytest.mark.parametrize(
+        "name, which",
+        [("S", ["iota"]), ("S", ["jmath"]), ("S-prime", ["iota"])],
+    )
+    def test_default_output_generates_one_degree_past_the_bound(self, name, which):
+        m = model(name)
+        action = m.action(which)
+        gens = invariant_generators(action, poly_vars=m.coords)
+        assert brute_force_generates(gens, action, (), m.coords, action.order() + 1)
+
+    def test_four_group_default_keeps_the_cubic(self):
+        # height 2 misses a*b*c; the default height |G| = 4 finds it
+        action = model("S").action(["iota", "jmath"])
+        assert action.order() == 4
+        gens = invariant_generators(action, poly_vars=("a", "b", "c"))
+        assert [str(g) for g in gens] == ["a^2", "b^2", "c^2", "a*b*c"]
+
+    def test_blowup_weyl_action_needs_an_explicit_bound(self):
+        B = build_blowup(sl2(), "GG")
+        ring_vars = {"laurent_vars": B.ring.laurent_vars, "poly_vars": B.ring.poly_vars}
+        with pytest.raises(ValueError, match="pass degree_bound"):
+            invariant_generators(B.weyl, **ring_vars)
+        assert invariant_generators(B.weyl, degree_bound=1, **ring_vars)
+
+    @pytest.mark.parametrize(
+        "table, laurent_vars, poly_vars",
+        [
+            ({"a": "a^-1"}, (), ("a",)),  # a polynomial variable is not invertible
+            ({"y": "a", "a": "y"}, ("y",), ("a",)),  # kinds swapped
+            ({"y": "y*z", "z": "z"}, ("y", "z"), ()),  # image is not one variable
+            ({"a": "b", "b": "b"}, (), ("a", "b")),  # not a permutation
+        ],
+    )
+    def test_non_permutation_actions_raise(self, table, laurent_vars, poly_vars):
+        action = GroupAction([Substitution.parse(table)], cap=8)
+        with pytest.raises(ValueError, match="pass degree_bound"):
+            invariant_generators(action, laurent_vars, poly_vars)
+
+    def test_signed_permutation_with_inverses_is_accepted(self):
+        swap = Substitution.parse({"y": "-z^-1", "z": "-y^-1"})
+        gens = invariant_generators(GroupAction([swap]), laurent_vars=("y", "z"))
+        assert all(GroupAction([swap]).is_invariant(g) for g in gens)
+        assert brute_force_generates(gens, GroupAction([swap]), ("y", "z"), (), 2)
+
+    def test_bound_below_one_raises(self):
+        with pytest.raises(ValueError, match="positive"):
+            invariant_generators(GroupAction([W]), laurent_vars=("y", "z"), degree_bound=0)

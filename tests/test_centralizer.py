@@ -213,15 +213,15 @@ class TestBlowupMatch:
 
 class TestIsogenyInvariants:
     def test_jmath_on_S(self):
-        got = {str(g) for g in isogeny_invariants(model("S"), ["jmath"], 2)}
+        got = {str(g) for g in isogeny_invariants(model("S"), ["jmath"])}
         assert got == {"b", "a^2", "c^2", "a*c"}
 
     def test_iota_on_S_prime(self):
-        got = {str(g) for g in isogeny_invariants(model("S-prime"), ["iota"], 2)}
+        got = {str(g) for g in isogeny_invariants(model("S-prime"), ["iota"])}
         assert got == {"delta", "xi^2", "eta^2", "xi*eta"}
 
     def test_four_group_on_S(self):
-        got = {str(g) for g in isogeny_invariants(model("S"), ["iota", "jmath"], 3)}
+        got = {str(g) for g in isogeny_invariants(model("S"), ["iota", "jmath"])}
         assert got == {"a^2", "b^2", "c^2", "a*b*c"}
         # the relation makes the cubic generator redundant: abc = 1 + b^2 + c^2
         ring = model("S").coordinate_ring()
@@ -229,7 +229,7 @@ class TestIsogenyInvariants:
 
     def test_unknown_involution(self):
         with pytest.raises(CentralizerError):
-            isogeny_invariants(model("A2-gg"), ["iota"], 2)
+            isogeny_invariants(model("A2-gg"), ["iota"])
 
 
 class TestInvolutionsPreserveRelations:

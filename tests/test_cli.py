@@ -104,6 +104,45 @@ class TestCompute:
         assert code == EXIT_OK
         assert set(out.strip().split(", ")) == {"b", "a*c", "a^2", "c^2"}
 
+    def test_invariants_default_is_noether_bound(self, capsys):
+        code, out, err = run_cli(capsys, "compute", "invariants", "--model", "S", "--which", "iota,jmath")
+        assert code == EXIT_OK
+        assert out.strip() == "a^2, b^2, c^2, a*b*c"
+        assert not err
+
+    def test_invariants_under_the_group_order_notes_incompleteness(self, capsys):
+        code, out, err = run_cli(
+            capsys, "compute", "invariants", "--model", "S", "--which", "iota,jmath", "--degree-bound", "2"
+        )
+        assert code == EXIT_OK
+        assert out.strip() == "a^2, b^2, c^2"
+        assert err.startswith("note: ") and "may be incomplete" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("invariants", "--model", "S", "--degree-bound", "0"),
+            ("kernel", "--model", "S", "--degree-bound", "3"),
+            ("kernel", "--model", "S", "--seed", "1"),
+            ("kernel", "--model", "S", "--timing"),
+            ("kernel", "--model", "S", "--unknown-flag"),
+            ("kernel", "--model", "S", "a"),
+            ("multiply", "--presentation", "abstract", "a^-1", "a"),
+            ("multiply", "--presentation", "blowup", "T^-1", "z"),
+            ("multiply", "c"),
+        ],
+    )
+    def test_ignored_or_malformed_input_exit_two(self, capsys, argv):
+        code, out, err = run_cli(capsys, "compute", *argv)
+        assert code == EXIT_ERROR
+        assert not out
+        assert err.startswith("error: ")
+
+    def test_seed_before_compute_exit_two(self, capsys):
+        code, _, err = run_cli(capsys, "--seed", "1", "compute", "kernel", "--model", "S")
+        assert code == EXIT_ERROR
+        assert "--seed" in err
+
     def test_closure_report_schema(self, capsys):
         code, out, _ = run_cli(capsys, "compute", "closure", "--flavor", "GG", "--output", "json")
         assert code == EXIT_OK
@@ -174,6 +213,15 @@ class TestVerify:
         _, out2, _ = run_cli(capsys, "verify", "heisenberg", "--seed", "5", "--output", "json")
         assert out1 == out2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("verify", "centralizer", "--degree-bound", "4"), ("--degree-bound", "4", "verify", "blowup")],
+    )
+    def test_degree_bound_exit_two(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == EXIT_ERROR
+        assert not out
+
     def test_unknown_suite_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "everything")
         assert code == EXIT_ERROR
@@ -199,7 +247,7 @@ class TestTermBudget:
             ("--term-cap", "5", "verify", "centralizer"),
             ("--term-cap", "5", "compute", "multiply", "c", "a*b-c"),
             ("--term-cap", "5", "compute", "kernel", "--model", "S"),
-            ("--term-cap", "5", "compute", "invariants", "--model", "S"),
+            ("--term-cap", "5", "compute", "invariants", "--model", "S", "--which", "iota,jmath"),
         ],
     )
     def test_cap_bounds_every_groebner_path(self, capsys, argv):
@@ -231,9 +279,37 @@ class TestConfig:
 
     def test_invalid_bound_exit_two(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"degree_bound": 0}))
+        cfg.write_text(json.dumps({"term_cap": 0}))
         code, _, _ = run_cli(capsys, "--config", str(cfg), "verify", "steinberg")
         assert code == EXIT_ERROR
+
+    def test_removed_degree_bound_key_exit_two(self, capsys, tmp_path):
+        # verify derives no bound from the config: the key would be ignored
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"degree_bound": 4}))
+        code, out, err = run_cli(capsys, "--config", str(cfg), "verify", "steinberg")
+        assert code == EXIT_ERROR
+        assert not out
+        assert "degree_bound" in err
+
+    @pytest.mark.parametrize(
+        "data",
+        [{"term_cap": "5"}, {"term_cap": True}, {"timing": "yes"}, {"seed": "x"}, {"output": 1}, [1]],
+    )
+    def test_mistyped_value_exit_two(self, capsys, tmp_path, data):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "--config", str(cfg), "verify", "steinberg")
+        assert code == EXIT_ERROR
+        assert not out
+        assert err.startswith("error: ")
+
+    def test_keys_are_the_config_fields(self):
+        from dataclasses import fields
+
+        from blowring.reports import Config
+
+        assert [f.name for f in fields(Config)] == ["term_cap", "seed", "output", "timing"]
 
 
 def test_entry_point_subprocess():

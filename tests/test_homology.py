@@ -1,6 +1,6 @@
 import pytest
 
-from blowring.homology import GRADING, BMRing, bm_ring_ops
+from blowring.homology import GRADING, BMRing
 from blowring.poly import LaurentPoly, parse_poly
 
 
@@ -49,12 +49,10 @@ class TestSubalgebra:
         got = {str(g) for g in ring.invariant_subalgebra()}
         assert got == {"delta", "xi^2", "eta^2", "xi*eta"}
 
-    def test_ops_dispatch(self):
-        assert bm_ring_ops("grading_check")["passed"]
-        assert bm_ring_ops("basis_check", bound=3)["passed"]
-        assert bm_ring_ops("invariant_subalgebra")["passed"]
-        with pytest.raises(ValueError):
-            bm_ring_ops("nope")
+    def test_direct_method_calls(self, ring):
+        assert ring.grading_check()["homogeneous"]
+        assert ring.basis_check(3)["passed"]
+        assert {str(g) for g in ring.invariant_subalgebra()} == {"delta", "xi^2", "eta^2", "xi*eta"}
 
 
 def test_relation_matches_hypersurface_model():
