@@ -221,7 +221,8 @@ def _symmetrized_candidates(action, bound, ring):
             continue
         seen.add(key)
         height = sum(abs(e) for e in exps)
-        out.append(((height, key), prim))
+        # coefficients order as (re, im) pairs; GaussianRational has no <
+        out.append(((height, tuple((m, c.re, c.im) for m, c in key)), prim))
     out.sort(key=lambda pair: pair[0])
     return out
 

@@ -84,10 +84,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def make_config(args) -> Config:
-    cfg = Config.from_file(args.config) if hasattr(args, "config") else Config()
-    given = {f.name: getattr(args, f.name) for f in fields(Config) if hasattr(args, f.name)}
-    return replace(cfg, **given)  # revalidates
+def make_config(args) -> tuple[Config, set[str]]:
+    """The run configuration, and the names of the settings given as config
+    keys or flags (flags win)."""
+    settings = Config.read_settings(args.config) if hasattr(args, "config") else {}
+    flags = {f.name: getattr(args, f.name) for f in fields(Config) if hasattr(args, f.name)}
+    return replace(Config(**settings), **flags), set(settings) | set(flags)  # replace revalidates
 
 
 def cmd_verify(args, cfg: Config) -> int:
@@ -103,8 +105,9 @@ def cmd_verify(args, cfg: Config) -> int:
     return EXIT_OK if report.ok else EXIT_FAIL
 
 
-def cmd_compute(args, cfg: Config) -> int:
-    unread = [f"--{name}" for name in ("seed", "timing") if hasattr(args, name)]
+def cmd_compute(args, cfg: Config, given: set[str]) -> int:
+    unread = [f"--{name}" for name in ("seed", "timing") if name in given]
+    unread += ["--output csv"] if cfg.output == "csv" and args.task != "table" else []
     unread += ["--degree-bound"] if args.degree_bound is not None and args.task != "invariants" else []
     _require(not unread, f"compute {args.task} does not read {', '.join(unread)}")
     arity = ELEMENT_ARGUMENTS.get(args.task, 0)
@@ -284,7 +287,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_ERROR if exc.code not in (0, None) else EXIT_OK
     try:
-        cfg = make_config(args)
+        cfg, given = make_config(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -292,7 +295,7 @@ def main(argv=None) -> int:
         with term_budget(cfg.term_cap):
             if args.command == "verify":
                 return cmd_verify(args, cfg)
-            return cmd_compute(args, cfg)
+            return cmd_compute(args, cfg, given)
     except (UsageError, PolyParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

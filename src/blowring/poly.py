@@ -223,7 +223,8 @@ class LaurentPoly:
         out = []
         for exps, coeff in self.terms.items():
             named = tuple(sorted((v, e) for v, e in zip(self.vars, exps) if e))
-            out.append((named, coeff.re, coeff.im))
+            out.append((named, coeff))
+        # the monomials are distinct, so the sort never compares coefficients
         out.sort()
         return tuple(out)
 

@@ -27,7 +27,8 @@ class Config:
             raise ValueError(f"unknown output format {self.output!r}")
 
     @classmethod
-    def from_file(cls, path: str) -> "Config":
+    def read_settings(cls, path: str) -> dict:
+        """The settings a JSON config file gives, checked against the fields."""
         with open(path) as fh:
             data = json.load(fh)
         if not isinstance(data, dict):
@@ -35,7 +36,7 @@ class Config:
         unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config keys {sorted(unknown)}")
-        return cls(**data)
+        return data
 
 
 @dataclass

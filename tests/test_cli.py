@@ -138,6 +138,43 @@ class TestCompute:
         assert not out
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("kernel", "--model", "S"),
+            ("invariants", "--model", "S", "--which", "iota,jmath"),
+            ("multiply", "c", "a*b-c"),
+            ("bracket", "--flavor", "GG", "y", "z"),
+            ("membership", "--flavor", "GG", "(y^2-1)/(z^2-1)"),
+            ("closure", "--flavor", "GG"),
+        ],
+    )
+    def test_csv_output_outside_table_exit_two(self, capsys, tmp_path, argv):
+        # only `table` writes CSV; the others would print their text form
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"output": "csv"}))
+        for given in (("--output", "csv"), ("--config", str(cfg))):
+            code, out, err = run_cli(capsys, "compute", *argv, *given)
+            assert code == EXIT_ERROR
+            assert not out
+            assert err.startswith("error: ") and "--output csv" in err
+
+    @pytest.mark.parametrize("key, value", [("seed", 3), ("timing", True), ("timing", False)])
+    def test_unread_config_key_exit_two(self, capsys, tmp_path, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        code, out, err = run_cli(capsys, "--config", str(cfg), "compute", "kernel", "--model", "S")
+        assert code == EXIT_ERROR
+        assert not out
+        assert f"--{key}" in err
+
+    def test_read_config_keys_pass_on_compute(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"output": "json", "term_cap": 200000}))
+        code, out, _ = run_cli(capsys, "--config", str(cfg), "compute", "kernel", "--model", "S")
+        assert code == EXIT_OK
+        assert json.loads(out)["kernel"] == ["a*b*c - b^2 - c^2 - 1"]
+
     def test_seed_before_compute_exit_two(self, capsys):
         code, _, err = run_cli(capsys, "--seed", "1", "compute", "kernel", "--model", "S")
         assert code == EXIT_ERROR

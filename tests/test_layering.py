@@ -1,8 +1,11 @@
-"""The unit-pair encoding of Laurent rings stays private to ``rings.py``.
+"""Representations stay private to the module that owns them.
 
 ``PresentedRing`` writes v^-k as (v')^k with v*v' - 1 adjoined and decodes
 on the way out, so no other module may name its encoding helpers or build a
 primed partner name, and the Gröbner engine builds no primed variable at all.
+
+``GaussianRational`` stores (a + b*i)/d as private integer fields, so no
+module but ``scalars.py`` may name them; the rest reads ``re`` and ``im``.
 """
 
 import ast
@@ -10,6 +13,8 @@ import re
 from pathlib import Path
 
 import pytest
+
+from blowring.scalars import GaussianRational
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "blowring"
 
@@ -89,3 +94,17 @@ def test_rings_owns_the_encoding():
     tree = _tree("rings.py")
     assert PRIVATE <= set(_names(tree))
     assert list(_appended_primes(tree))
+
+
+SCALAR_FIELDS = set(GaussianRational.__slots__)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SRC.glob("*.py") if p.name != "scalars.py"))
+def test_scalar_fields_stay_in_scalars(name):
+    leaked = sorted(SCALAR_FIELDS & set(_names(_tree(name))))
+    assert not leaked, f"{name} names the private fields {leaked} of GaussianRational"
+
+
+def test_scalar_fields_are_private():
+    assert SCALAR_FIELDS and all(f.startswith("_") for f in SCALAR_FIELDS)
+    assert SCALAR_FIELDS <= set(_names(_tree("scalars.py")))
