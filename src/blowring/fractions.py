@@ -87,8 +87,9 @@ class RingFraction:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     # -- structure ---------------------------------------------------------

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import heapq
 from contextlib import contextmanager
+from itertools import accumulate
+from operator import add, itemgetter, le, neg, sub
 from typing import Iterable, Sequence
 
 from .poly import Exps, LaurentPoly
@@ -45,11 +47,11 @@ class GrevLex:
     name = "grevlex"
 
     def key(self, exps: Exps):
-        return (sum(exps), tuple(-e for e in reversed(exps)))
+        return (sum(exps), tuple(map(neg, exps[::-1])))
 
     def neg_key(self, exps: Exps):
         """A key whose min is the order's max (for min-heaps)."""
-        return (-sum(exps), tuple(reversed(exps)))
+        return (-sum(exps), exps[::-1])
 
     def __repr__(self):
         return "GrevLex()"
@@ -62,18 +64,23 @@ class BlockOrder:
 
     def __init__(self, blocks: Sequence[Sequence[int]]):
         self.blocks = tuple(tuple(b) for b in blocks)
+        # every block's exponents, last variable first, gathered in one call
+        # and then cut into one slice per block
+        gathered = [i for block in self.blocks for i in reversed(block)]
+        if len(gathered) > 1:
+            self._gather = itemgetter(*gathered)
+        else:
+            self._gather = lambda exps: tuple(exps[i] for i in gathered)
+        ends = list(accumulate(map(len, self.blocks)))
+        self._slices = tuple(map(slice, [0] + ends, ends))
 
     def key(self, exps: Exps):
-        return tuple(
-            (sum(exps[i] for i in block), tuple(-exps[i] for i in reversed(block)))
-            for block in self.blocks
-        )
+        r = self._gather(exps)
+        return tuple([(sum(r[s]), tuple(map(neg, r[s]))) for s in self._slices])
 
     def neg_key(self, exps: Exps):
-        return tuple(
-            (-sum(exps[i] for i in block), tuple(exps[i] for i in reversed(block)))
-            for block in self.blocks
-        )
+        r = self._gather(exps)
+        return tuple([(-sum(r[s]), r[s]) for s in self._slices])
 
     def __repr__(self):
         return f"BlockOrder({self.blocks!r})"
@@ -101,20 +108,43 @@ class PolyRing:
 
 # -- division ------------------------------------------------------------------
 
+# A lead table has one entry per nonzero basis element, built once per basis:
+# (terms, lead monomial, lead coefficient, support mask). The terms are the
+# element's own dict, not a copy.
+LeadEntry = tuple[dict, Exps, GaussianRational, int]
+
+
+def _support(exps: Exps) -> int:
+    """One byte per variable, 1 where the exponent is positive.
+
+    A monomial whose support has a variable that another lacks cannot divide
+    it, so ``mask & ~other_mask`` rejects most divisor candidates in one step.
+    """
+    return int.from_bytes(bytes(map(bool, exps)), "little")
+
 
 def leading(f: LaurentPoly, order) -> tuple[Exps, GaussianRational]:
     lm = max(f.terms, key=order.key)
     return lm, f.terms[lm]
 
 
+def _lead_table(basis: Sequence[LaurentPoly], order) -> list[LeadEntry]:
+    table = []
+    for g in basis:
+        if g.terms:
+            lm, lc = leading(g, order)
+            table.append((g.terms, lm, lc, _support(lm)))
+    return table
+
+
 def _divides(a: Exps, b: Exps) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _mul_term(f: LaurentPoly, coeff: GaussianRational, shift: Exps) -> LaurentPoly:
     return LaurentPoly(
         f.vars,
-        {tuple(e + s for e, s in zip(exps, shift)): c * coeff for exps, c in f.terms.items()},
+        {tuple(map(add, exps, shift)): c * coeff for exps, c in f.terms.items()},
     )
 
 
@@ -122,27 +152,18 @@ def normal_form(
     f: LaurentPoly,
     basis: Sequence[LaurentPoly],
     ring: PolyRing,
-    _key_cache: dict | None = None,
+    _leads: list[LeadEntry] | None = None,
 ) -> LaurentPoly:
-    """Fully reduced remainder of multivariate division by ``basis``."""
+    """Fully reduced remainder of multivariate division by ``basis``.
+
+    Each step reduces by the first basis element whose lead divides the
+    current lead. ``_leads`` is the lead table of ``basis`` when the caller
+    already holds it.
+    """
     term_cap = _term_cap
     order = ring.order
-    kcache: dict[Exps, tuple] = {} if _key_cache is None else _key_cache
-    okey = order.key
-
-    def key_of(e: Exps):
-        k = kcache.get(e)
-        if k is None:
-            k = okey(e)
-            kcache[e] = k
-        return k
-
+    leads = _lead_table(basis, order) if _leads is None else _leads
     p = dict(ring.align(f).terms)
-    prepared = []
-    for g in basis:
-        if g.terms:
-            glm = max(g.terms, key=key_of)
-            prepared.append((g.terms, glm, g.terms[glm]))
     remainder: dict[Exps, GaussianRational] = {}
     # max-heap with lazy deletion: monomials may linger after cancellation
     nkey = order.neg_key
@@ -159,22 +180,24 @@ def normal_form(
             heapq.heappop(heap)
             in_heap.discard(lm)
         lc = p[lm]
-        for gterms, glm, glc in prepared:
-            if _divides(glm, lm):
-                factor = lc / glc
-                for ge, gc in gterms.items():
-                    # shift = lm - glm applied to every term of g
-                    ke = tuple(x - a + b for x, a, b in zip(lm, glm, ge))
-                    cur = p.get(ke)
-                    nv = cur - gc * factor if cur is not None else -(gc * factor)
-                    if nv:
-                        p[ke] = nv
-                        if ke not in in_heap:
-                            heapq.heappush(heap, (nkey(ke), ke))
-                            in_heap.add(ke)
-                    else:
-                        p.pop(ke, None)
-                break
+        outside = ~_support(lm)
+        for gterms, glm, glc, gmask in leads:
+            if gmask & outside or not _divides(glm, lm):
+                continue
+            factor = lc / glc
+            shift = tuple(map(sub, lm, glm))
+            for ge, gc in gterms.items():
+                ke = tuple(map(add, shift, ge))
+                cur = p.get(ke)
+                nv = cur - gc * factor if cur is not None else -(gc * factor)
+                if nv:
+                    p[ke] = nv
+                    if ke not in in_heap:
+                        heapq.heappush(heap, (nkey(ke), ke))
+                        in_heap.add(ke)
+                else:
+                    p.pop(ke, None)
+            break
         else:
             remainder[lm] = lc
             del p[lm]
@@ -182,9 +205,9 @@ def normal_form(
 
 
 def _spoly(f, flm, flc, g, glm, glc, order) -> LaurentPoly:
-    lcm = tuple(max(a, b) for a, b in zip(flm, glm))
-    sf = tuple(a - b for a, b in zip(lcm, flm))
-    sg = tuple(a - b for a, b in zip(lcm, glm))
+    lcm = tuple(map(max, flm, glm))
+    sf = tuple(map(sub, lcm, flm))
+    sg = tuple(map(sub, lcm, glm))
     return _mul_term(f, flc.inverse(), sf) - _mul_term(g, glc.inverse(), sg)
 
 
@@ -197,34 +220,22 @@ def buchberger(gens: Iterable[LaurentPoly], ring: PolyRing) -> list[LaurentPoly]
     """
     term_cap = _term_cap
     order = ring.order
-    kcache: dict[Exps, tuple] = {}
-    okey = order.key
-
-    def key_of(e: Exps):
-        k = kcache.get(e)
-        if k is None:
-            k = okey(e)
-            kcache[e] = k
-        return k
+    key = order.key
 
     basis: list[LaurentPoly] = []
     for g in gens:
         g = ring.align(g)
         if g.terms:
-            lm = max(g.terms, key=key_of)
-            basis.append(g * g.terms[lm].inverse())
-    basis = _interreduce(basis, ring, kcache)
-    leads = []
-    for g in basis:
-        lm = max(g.terms, key=key_of)
-        leads.append((lm, g.terms[lm]))
+            basis.append(g * leading(g, order)[1].inverse())
+    basis = _interreduce(basis, ring)
+    leads = _lead_table(basis, order)
 
     heap: list = []
     pairset: set[tuple[int, int]] = set()
 
     def push_pair(i: int, j: int):
-        lcm = tuple(max(a, b) for a, b in zip(leads[i][0], leads[j][0]))
-        heapq.heappush(heap, (key_of(lcm), i, j, lcm))
+        lcm = tuple(map(max, leads[i][1], leads[j][1]))
+        heapq.heappush(heap, (key(lcm), i, j, lcm))
         pairset.add((i, j))
 
     for i in range(len(basis)):
@@ -234,58 +245,60 @@ def buchberger(gens: Iterable[LaurentPoly], ring: PolyRing) -> list[LaurentPoly]
     while heap:
         _, i, j, lcm = heapq.heappop(heap)
         pairset.discard((i, j))
-        flm, glm = leads[i][0], leads[j][0]
+        _, flm, flc, fmask = leads[i]
+        _, glm, glc, gmask = leads[j]
         # Buchberger's first criterion: coprime leading monomials
-        if all(a + b == c for a, b, c in zip(flm, glm, lcm)):
+        if not fmask & gmask:
             continue
         # chain criterion
-        if _chain_criterion(i, j, lcm, leads, pairset):
+        if _chain_criterion(i, j, lcm, fmask | gmask, leads, pairset):
             continue
-        s = _spoly(basis[i], flm, leads[i][1], basis[j], glm, leads[j][1], order)
-        r = normal_form(s, basis, ring, kcache)
+        s = _spoly(basis[i], flm, flc, basis[j], glm, glc, order)
+        r = normal_form(s, basis, ring, leads)
         if r.terms:
-            lm = max(r.terms, key=key_of)
-            r = r * r.terms[lm].inverse()
+            lm, lc = leading(r, order)
+            r = r * lc.inverse()
             basis.append(r)
-            leads.append((lm, ONE))
+            leads.append((r.terms, lm, ONE, _support(lm)))
             k = len(basis) - 1
             for m in range(k):
                 push_pair(m, k)
             if sum(len(b.terms) for b in basis) > term_cap:
                 raise ResourceLimitError(f"basis exceeded {term_cap} terms")
-    return _reduce_basis(basis, ring, kcache)
+    return _reduce_basis(basis, leads, ring)
 
 
-def _chain_criterion(i, j, lcm, leads, pairset) -> bool:
-    for k in range(len(leads)):
-        if k == i or k == j:
+def _chain_criterion(i, j, lcm, lcm_mask, leads, pairset) -> bool:
+    outside = ~lcm_mask
+    for k, (_, klm, _, kmask) in enumerate(leads):
+        if k == i or k == j or kmask & outside or not _divides(klm, lcm):
             continue
-        if _divides(leads[k][0], lcm):
-            a, b = (i, k) if i < k else (k, i)
-            c, d = (j, k) if j < k else (k, j)
-            if (a, b) not in pairset and (c, d) not in pairset:
-                return True
+        a, b = (i, k) if i < k else (k, i)
+        c, d = (j, k) if j < k else (k, j)
+        if (a, b) not in pairset and (c, d) not in pairset:
+            return True
     return False
 
 
-def _interreduce(
-    polys: list[LaurentPoly], ring: PolyRing, kcache: dict | None = None
-) -> list[LaurentPoly]:
+def _interreduce(polys: list[LaurentPoly], ring: PolyRing) -> list[LaurentPoly]:
     order = ring.order
     work = sorted(polys, key=lambda p: order.key(leading(p, order)[0]))
     changed = True
     while changed:
         changed = False
+        leads = _lead_table(work, order)
         out: list[LaurentPoly] = []
+        out_leads: list[LeadEntry] = []
         for idx, p in enumerate(work):
-            others = out + work[idx + 1 :]
-            r = normal_form(p, others, ring, kcache) if others else p
+            others = out_leads + leads[idx + 1 :]
+            r = normal_form(p, out + work[idx + 1 :], ring, others) if others else p
             if r.terms:
-                _, lc = leading(r, order)
+                lm, lc = leading(r, order)
                 r = r * lc.inverse()
                 if r != p:
                     changed = True
                 out.append(r)
+                out_leads.append((r.terms, lm, ONE, _support(lm)))
             else:
                 changed = True
         work = sorted(out, key=lambda p: order.key(leading(p, order)[0]))
@@ -293,29 +306,29 @@ def _interreduce(
 
 
 def _reduce_basis(
-    basis: list[LaurentPoly], ring: PolyRing, kcache: dict | None = None
+    basis: list[LaurentPoly], leads: list[LeadEntry], ring: PolyRing
 ) -> list[LaurentPoly]:
     order = ring.order
     # minimal: drop generators whose lead is divisible by another lead
-    kept: list[LaurentPoly] = []
-    leads = [leading(g, order)[0] for g in basis]
-    for i, g in enumerate(basis):
-        lm = leads[i]
-        redundant = any(
-            j != i and _divides(leads[j], lm) and (not _divides(lm, leads[j]) or j < i)
-            for j in range(len(basis))
+    kept = [
+        i
+        for i, (_, li, _, mi) in enumerate(leads)
+        if not any(
+            j != i and not mj & ~mi and _divides(lj, li) and (not _divides(li, lj) or j < i)
+            for j, (_, lj, _, mj) in enumerate(leads)
         )
-        if not redundant:
-            kept.append(g)
+    ]
+    polys = [basis[i] for i in kept]
+    kept_leads = [leads[i] for i in kept]
     # reduced: every tail reduced against the others
     out = []
-    for i, g in enumerate(kept):
-        others = kept[:i] + kept[i + 1 :]
-        r = normal_form(g, others, ring, kcache) if others else g
+    for i, g in enumerate(polys):
+        others = kept_leads[:i] + kept_leads[i + 1 :]
+        r = normal_form(g, polys[:i] + polys[i + 1 :], ring, others) if others else g
         if r.terms:
             _, lc = leading(r, order)
             out.append(r * lc.inverse())
-    out.sort(key=lambda p: ring.order.key(leading(p, ring.order)[0]))
+    out.sort(key=lambda p: order.key(leading(p, order)[0]))
     return out
 
 
@@ -386,6 +399,7 @@ class Ideal:
         self.ring = ring
         self.gens = [ring.align(g) for g in gens]
         self._gb: list[LaurentPoly] | None = None
+        self._leads: list[LeadEntry] | None = None
 
     def groebner(self) -> list[LaurentPoly]:
         if self._gb is None:
@@ -393,7 +407,9 @@ class Ideal:
         return self._gb
 
     def normal_form(self, f: LaurentPoly) -> LaurentPoly:
-        return normal_form(f, self.groebner(), self.ring)
+        if self._leads is None:
+            self._leads = _lead_table(self.groebner(), self.ring.order)
+        return normal_form(f, self._gb, self.ring, self._leads)
 
     def contains(self, f: LaurentPoly) -> bool:
         return not self.normal_form(f).terms

@@ -178,8 +178,9 @@ class LaurentPoly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def monomial_inverse(self) -> "LaurentPoly":

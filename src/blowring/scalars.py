@@ -115,8 +115,9 @@ class GaussianRational:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def conjugate(self) -> "GaussianRational":

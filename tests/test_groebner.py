@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blowring.groebner import (
     BlockOrder,
@@ -11,10 +12,12 @@ from blowring.groebner import (
     PolyRing,
     ResourceLimitError,
     laurent_exact_divide,
+    normal_form,
     term_budget,
 )
 from blowring.poly import LaurentPoly, parse_poly
 from blowring.rings import PresentedRing
+from blowring.scalars import gauss
 
 from conftest import random_gaussian
 
@@ -247,7 +250,7 @@ class TestBuchbergerProperties:
     """
 
     def test_random_ideals(self):
-        from blowring.groebner import _divides, _spoly, leading, normal_form
+        from blowring.groebner import _divides, _spoly, leading
         from blowring.scalars import gauss
 
         rng = random.Random(2024)
@@ -294,3 +297,127 @@ class TestBuchbergerProperties:
                     assert normal_form(s, gb, ring).is_zero()
             checked += 1
         assert checked >= 10
+
+
+# -- reference models of the orders and of division ------------------------------
+
+
+def reference_key(order):
+    """The order keys as plain generator expressions, one element at a time."""
+    if isinstance(order, GrevLex):
+        return lambda exps: (sum(exps), tuple(-e for e in reversed(exps)))
+    return lambda exps: tuple(
+        (sum(exps[i] for i in block), tuple(-exps[i] for i in reversed(block)))
+        for block in order.blocks
+    )
+
+
+def reference_neg_key(order):
+    if isinstance(order, GrevLex):
+        return lambda exps: (-sum(exps), tuple(reversed(exps)))
+    return lambda exps: tuple(
+        (-sum(exps[i] for i in block), tuple(exps[i] for i in reversed(block)))
+        for block in order.blocks
+    )
+
+
+def reference_division(f, basis, ring):
+    """Remainder of f by the first element of ``basis`` (in list order) whose lead divides."""
+    key = reference_key(ring.order)
+    p, remainder = dict(f.terms), {}
+    while p:
+        lm = max(p, key=key)
+        for g in basis:
+            if not g.terms:
+                continue
+            glm = max(g.terms, key=key)
+            if all(a <= b for a, b in zip(glm, lm)):
+                factor = p[lm] / g.terms[glm]
+                for ge, gc in g.terms.items():
+                    ke = tuple(x - a + b for x, a, b in zip(lm, glm, ge))
+                    nv = p.get(ke, gauss(0)) - gc * factor
+                    if nv:
+                        p[ke] = nv
+                    else:
+                        p.pop(ke, None)
+                break
+        else:
+            remainder[lm] = p.pop(lm)
+    return LaurentPoly(ring.vars, remainder)
+
+
+@st.composite
+def orders(draw, nvars):
+    """Grevlex, or blocks from a shuffled, cut variable list (often non-contiguous, sometimes empty)."""
+    if draw(st.booleans()):
+        return GrevLex()
+    perm = draw(st.permutations(range(nvars)))
+    cuts = sorted(draw(st.lists(st.integers(0, nvars), max_size=3)))
+    bounds = [0, *cuts, nvars]
+    return BlockOrder([perm[a:b] for a, b in zip(bounds, bounds[1:])])
+
+
+exponents = st.integers(0, 3)
+small_gaussians = st.builds(gauss, st.integers(-3, 3), st.integers(-2, 2))
+
+
+@st.composite
+def polys(draw, nvars, max_terms, exps=exponents):
+    terms = draw(
+        st.dictionaries(st.tuples(*[exps] * nvars), small_gaussians, min_size=1, max_size=max_terms)
+    )
+    return LaurentPoly(tuple("abcde"[:nvars]), {e: c for e, c in terms.items() if c})
+
+
+@st.composite
+def rings_with(draw, max_vars=5):
+    nvars = draw(st.integers(1, max_vars))
+    return PolyRing(tuple("abcde"[:nvars]), draw(orders(nvars)))
+
+
+class TestOrderKeys:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_keys_match_the_reference(self, data):
+        ring = data.draw(rings_with())
+        n = len(ring.vars)
+        monos = data.draw(st.lists(st.tuples(*[st.integers(0, 6)] * n), min_size=1, max_size=12, unique=True))
+        order = ring.order
+        key, neg_key = reference_key(order), reference_neg_key(order)
+        for e in monos:
+            assert order.key(e) == key(e)
+            assert order.neg_key(e) == neg_key(e)
+        assert sorted(monos, key=order.neg_key) == sorted(monos, key=order.key, reverse=True)
+
+    def test_homology_layout(self):
+        # the homology ring orders (delta, xi, eta) by the blocks (xi), (delta, eta)
+        order = BlockOrder([(1,), (0, 2)])
+        for e in [(2, 0, 1), (0, 3, 0), (1, 1, 1), (0, 0, 0)]:
+            assert order.key(e) == reference_key(order)(e)
+            assert order.neg_key(e) == reference_neg_key(order)(e)
+
+
+class TestDivisionReference:
+    """``normal_form`` against a plain division by the basis in list order."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_unreduced_bases(self, data):
+        ring = data.draw(rings_with(max_vars=4))
+        n = len(ring.vars)
+        basis = data.draw(st.lists(polys(n, 3), min_size=1, max_size=4))
+        f = data.draw(polys(n, 6, st.integers(0, 5)))
+        assert normal_form(f, basis, ring) == reference_division(f, basis, ring)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_cached_table_matches_the_basis(self, data):
+        ring = data.draw(rings_with(max_vars=3))
+        n = len(ring.vars)
+        gens = data.draw(st.lists(polys(n, 3, st.integers(0, 2)), min_size=1, max_size=3))
+        fs = data.draw(st.lists(polys(n, 5, st.integers(0, 4)), min_size=1, max_size=3))
+        I = Ideal(ring, gens)
+        gb = I.groebner()
+        for f in fs:
+            r = I.normal_form(f)
+            assert r == normal_form(f, gb, ring) == reference_division(f, gb, ring)

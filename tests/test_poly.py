@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from blowring.fractions import RingFraction
 from blowring.poly import LaurentPoly, PolyParseError, format_poly, parse_poly
 from blowring.scalars import gauss
 
@@ -122,3 +123,28 @@ def test_scaled_primitive():
     g = parse_poly("-2*y - 4")
     unit, prim = g.scaled_primitive()
     assert prim == y + 2
+
+
+@pytest.mark.parametrize(
+    "base",
+    [gauss(1, 2), y + z**-1, RingFraction(y + 1, z - 1)],
+    ids=["GaussianRational", "LaurentPoly", "RingFraction"],
+)
+@pytest.mark.parametrize("n", range(1, 10))
+def test_power_squares_only_below_the_top_bit(monkeypatch, base, n):
+    """Square-and-multiply makes popcount(n) + bit_length(n) - 1 products, no more."""
+    cls = type(base)
+    expected = base
+    for _ in range(n - 1):
+        expected = expected * base
+    products = 0
+    mul = cls.__mul__
+
+    def counting_mul(self, other):
+        nonlocal products
+        products += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(cls, "__mul__", counting_mul)
+    assert base**n == expected
+    assert products == bin(n).count("1") + n.bit_length() - 1
