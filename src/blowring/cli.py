@@ -127,7 +127,12 @@ class UsageError(ValueError):
 def _parse_fractions(texts, allowed, where: str, parse=parse_fraction, units=None):
     """Parse fraction arguments, rejecting any variable outside ``allowed`` and,
     when ``units`` is given, a negative power of any variable outside it."""
-    fracs = [RingFraction.of(parse(t)) for t in texts]
+    fracs = []
+    for text in texts:
+        try:
+            fracs.append(RingFraction.of(parse(text)))
+        except ZeroDivisionError:
+            raise UsageError(f"zero denominator in {text!r}") from None
     foreign = {v for f in fracs for p in (f.num, f.den) for v in p.support_vars()} - set(allowed)
     _require(not foreign, f"variables {sorted(foreign)} are not in the {where} {sorted(allowed)}")
     if units is not None:

@@ -214,9 +214,15 @@ def _spoly(f, flm, flc, g, glm, glc, order) -> LaurentPoly:
 def buchberger(gens: Iterable[LaurentPoly], ring: PolyRing) -> list[LaurentPoly]:
     """Reduced Gröbner basis of the ideal generated by ``gens``.
 
-    Normal selection strategy (pairs popped by lcm order), with Buchberger's
-    coprimality and chain criteria. Deterministic: the result depends only on
-    the generators and the order, not on scheduling.
+    Sugar selection strategy (Giovini, Mora, Niesi, Robbiano and Traverso,
+    "One sugar cube, please", ISSAC 1991): every element carries a sugar, the
+    total degree it would have if the input were homogenized. An input's
+    sugar is its largest term degree; a pair's is
+    ``max(sugar_i - deg lm_i, sugar_j - deg lm_j) + deg lcm``, and the element
+    it adds inherits it. Pairs are popped by ``(sugar, lcm order, i, j)``.
+    Buchberger's coprimality and chain criteria prune pairs. Deterministic:
+    the result depends only on the generators and the order, not on
+    scheduling.
     """
     term_cap = _term_cap
     order = ring.order
@@ -229,13 +235,15 @@ def buchberger(gens: Iterable[LaurentPoly], ring: PolyRing) -> list[LaurentPoly]
             basis.append(g * leading(g, order)[1].inverse())
     basis = _interreduce(basis, ring)
     leads = _lead_table(basis, order)
+    sugars = [max(map(sum, g.terms)) for g in basis]
 
     heap: list = []
     pairset: set[tuple[int, int]] = set()
 
     def push_pair(i: int, j: int):
         lcm = tuple(map(max, leads[i][1], leads[j][1]))
-        heapq.heappush(heap, (key(lcm), i, j, lcm))
+        sugar = max(sugars[i] - sum(leads[i][1]), sugars[j] - sum(leads[j][1])) + sum(lcm)
+        heapq.heappush(heap, (sugar, key(lcm), i, j, lcm))
         pairset.add((i, j))
 
     for i in range(len(basis)):
@@ -243,7 +251,7 @@ def buchberger(gens: Iterable[LaurentPoly], ring: PolyRing) -> list[LaurentPoly]
             push_pair(i, j)
 
     while heap:
-        _, i, j, lcm = heapq.heappop(heap)
+        sugar, _, i, j, lcm = heapq.heappop(heap)
         pairset.discard((i, j))
         _, flm, flc, fmask = leads[i]
         _, glm, glc, gmask = leads[j]
@@ -260,6 +268,7 @@ def buchberger(gens: Iterable[LaurentPoly], ring: PolyRing) -> list[LaurentPoly]
             r = r * lc.inverse()
             basis.append(r)
             leads.append((r.terms, lm, ONE, _support(lm)))
+            sugars.append(sugar)
             k = len(basis) - 1
             for m in range(k):
                 push_pair(m, k)

@@ -19,8 +19,8 @@ from typing import Mapping, Sequence
 
 from .fractions import RingFraction, RingMap
 from .groebner import Elimination, Ideal, PolyRing
-from .poly import LaurentPoly
-from .scalars import ONE
+from .poly import Exps, LaurentPoly
+from .scalars import GaussianRational, ONE
 
 
 class PresentedRing:
@@ -186,6 +186,11 @@ class SubalgebraOracle:
     Tag variables s_i are glued to the generators; under an elimination order
     discarding the ambient variables, the normal form of a member is tag-only
     and doubles as the rewriting certificate.
+
+    Normal forms are linear, so a rewrite sums the normal forms of its
+    monomials. Each ambient monomial's normal form is memoized, and that of
+    x_k*m, where x_k is its first variable, is computed as NF(x_k*NF(m)): one
+    short reduction per new monomial, shared by every later rewrite.
     """
 
     def __init__(self, ring: PresentedRing, generators: Sequence[LaurentPoly], tags: Sequence[str]):
@@ -197,9 +202,33 @@ class SubalgebraOracle:
         for tag, gen in zip(self.tags, generators):
             gens.append(LaurentPoly.var(tag) - ring._encode(gen))
         self.ideal = Elimination(ring._ambient, self.tags, gens, ())
+        self._monomial_nfs: dict[Exps, LaurentPoly] = {}
 
     def rewrite(self, f: LaurentPoly) -> LaurentPoly | None:
-        return self.ideal.certificate(self.ring._encode(f))
+        """f as a polynomial in the tags, or None if f is not in the subalgebra."""
+        pad = (0,) * len(self.tags)
+        total: dict[Exps, GaussianRational] = {}
+        for m, c in self.ring._encode(f).terms.items():
+            for e, d in self._monomial_nf(m + pad).terms.items():
+                prev = total.get(e)
+                total[e] = c * d if prev is None else prev + c * d
+        r = LaurentPoly(self.ideal.ring.vars, total)
+        if set(r.support_vars()) <= set(self.tags):
+            return r.with_vars(self.tags)
+        return None
+
+    def _monomial_nf(self, m: Exps) -> LaurentPoly:
+        nf = self._monomial_nfs.get(m)
+        if nf is None:
+            k = next((i for i, e in enumerate(m) if e), None)
+            if k is None:
+                nf = self.ideal.normal_form(LaurentPoly.const(1, self.ideal.ring.vars))
+            else:
+                below = self._monomial_nf(m[:k] + (m[k] - 1,) + m[k + 1 :])
+                step = {e[:k] + (e[k] + 1,) + e[k + 1 :]: c for e, c in below.terms.items()}
+                nf = self.ideal.normal_form(LaurentPoly(below.vars, step))
+            self._monomial_nfs[m] = nf
+        return nf
 
     def contains(self, f: LaurentPoly) -> bool:
         return self.rewrite(f) is not None

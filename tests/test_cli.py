@@ -193,6 +193,19 @@ class TestCompute:
         assert code == EXIT_ERROR
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("membership", "--flavor", "GG", "1/0"),
+            ("multiply", "--presentation", "localized", "z^2", "1/(z-z)"),
+        ],
+    )
+    def test_zero_denominator_exit_two(self, capsys, argv):
+        code, out, err = run_cli(capsys, "compute", *argv)
+        assert code == EXIT_ERROR
+        assert not out
+        assert err.startswith("error: ") and "zero denominator" in err
+
     def test_missing_required_option(self, capsys):
         code, _, err = run_cli(capsys, "compute", "kernel")
         assert code == EXIT_ERROR
@@ -291,6 +304,12 @@ class TestTermBudget:
         code, _, err = run_cli(capsys, *argv)
         assert code == EXIT_ERROR
         assert "resource limit" in err
+
+    def test_full_run_fits_a_small_cap(self, capsys):
+        # with sugar selection and memoized rewrites no normal form or basis
+        # of `verify all` reaches 200 terms (the floor is 122)
+        code, _, err = run_cli(capsys, "--term-cap", "200", "verify", "all")
+        assert code == EXIT_OK, err
 
 
 class TestConfig:

@@ -421,3 +421,113 @@ class TestDivisionReference:
         for f in fs:
             r = I.normal_form(f)
             assert r == normal_form(f, gb, ring) == reference_division(f, gb, ring)
+
+
+# -- an independent engine: sympy ------------------------------------------------
+
+
+def _sympy_polys(polys, vars):
+    from sympy import Poly, symbols
+    from sympy.polys.domains import QQ, QQ_I
+
+    def coeff(c):
+        return QQ_I(QQ(c.re.numerator, c.re.denominator), QQ(c.im.numerator, c.im.denominator))
+
+    syms = symbols(vars)
+    return [Poly.from_dict({e: coeff(c) for e, c in f.with_vars(vars).terms.items()}, *syms, domain=QQ_I)
+            for f in polys if f.terms]
+
+
+def _sympy_groebner(polys, vars, order):
+    """sympy's reduced basis, each element monic under ``order``, as a set of term sets in our scalars."""
+    import sympy
+
+    if not any(f.terms for f in polys):
+        return set(), []
+    G = sympy.groebner(_sympy_polys(polys, vars), *sympy.symbols(vars), order=order, domain="QQ_I")
+    basis = set()
+    for p in G.polys:
+        terms = p.rep.to_dict()
+        lc = terms[p.monoms(order=order)[0]]
+        basis.add(frozenset((e, _our_scalar(c / lc)) for e, c in terms.items()))
+    return basis, G.polys
+
+
+def _our_scalar(c):
+    return gauss(Fraction(int(c.x.numerator), int(c.x.denominator)),
+                 Fraction(int(c.y.numerator), int(c.y.denominator)))
+
+
+def _our_basis(basis):
+    return {frozenset(g.terms.items()) for g in basis}
+
+
+def _sympy_elimination_basis(gens, drop, keep):
+    """The elimination ideal via a lex basis, then its reduced grevlex basis in the kept variables."""
+    vars = tuple(drop) + tuple(keep)
+    _, lex = _sympy_groebner(gens, vars, "lex")
+    n = len(drop)
+    kept = []
+    for p in lex:
+        terms = p.rep.to_dict()
+        if all(not any(e[:n]) for e in terms):
+            kept.append(LaurentPoly(tuple(keep), {e[n:]: _our_scalar(c) for e, c in terms.items()}))
+    return _sympy_groebner(kept, tuple(keep), "grevlex")[0]
+
+
+class TestSympyOracle:
+    """Reduced bases and elimination ideals against sympy's independent engine."""
+
+    @pytest.fixture(autouse=True, scope="class")
+    def sympy(self):
+        pytest.importorskip("sympy")
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_random_grevlex_bases(self, data):
+        n = data.draw(st.integers(1, 3))
+        ring = PolyRing(tuple("abc"[:n]))
+        gens = data.draw(st.lists(polys(n, 3, st.integers(0, 2)), min_size=1, max_size=3))
+        assert _our_basis(Ideal(ring, gens).groebner()) == _sympy_groebner(gens, ring.vars, "grevlex")[0]
+
+    @pytest.mark.parametrize(
+        "gens",
+        [
+            ["a^2*b + 1", "a*b*c^2 + b"],
+            ["a + b + c", "a*b + b*c + c*a", "a*b*c - 1"],
+            ["a*b*c - b^2 - c^2 - 1", "a^2 - b*c"],
+            ["i*a^2 - b", "a*b - c^2", "b^3 + (1+i)*a*c"],
+        ],
+    )
+    def test_fixed_grevlex_bases(self, gens):
+        ring = PolyRing(("a", "b", "c"))
+        gens = [parse_poly(g).with_vars(ring.vars) for g in gens]
+        assert _our_basis(Ideal(ring, gens).groebner()) == _sympy_groebner(gens, ring.vars, "grevlex")[0]
+
+    def test_gg_blowup_ambient_ideal(self, blowups):
+        I = blowups["GG"].ring.ideal
+        ours = _our_basis(I.groebner())
+        assert len(ours) == 6
+        assert ours == _sympy_groebner(I.gens, I.ring.vars, "grevlex")[0]
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_random_elimination_ideals(self, data):
+        # three variables at most: sympy's lex bases can run for minutes on four
+        n = data.draw(st.integers(2, 3))
+        vars = tuple("abc"[:n])
+        k = data.draw(st.integers(1, n - 1))
+        gens = data.draw(st.lists(polys(n, 3, st.integers(0, 2)), min_size=1, max_size=3))
+        gens = [LaurentPoly(vars, g.terms) for g in gens]
+        kept = Elimination(vars[:k], vars[k:], gens, ()).kept()
+        assert _our_basis(kept.groebner()) == _sympy_elimination_basis(gens, vars[:k], vars[k:])
+
+    def test_kring_oracle_elimination_ideal(self):
+        # the relation among the K-ring generators inside the GG blow-up: the S model's cubic
+        from blowring.kring import KRing
+
+        I = KRing()._blowup_oracle().ideal
+        drop = I.ring.vars[: len(I.ring.vars) - len(I.keep)]
+        ours = _our_basis(I.kept().groebner())
+        assert ours == _our_basis([parse_poly("a*b*c - b^2 - c^2 - 1").with_vars(I.keep)])
+        assert ours == _sympy_elimination_basis(I.gens, drop, I.keep)

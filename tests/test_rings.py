@@ -1,0 +1,78 @@
+"""The subalgebra oracle's memoized rewrite against a direct normal form.
+
+``SubalgebraOracle.rewrite`` sums memoized normal forms of monomials; the
+reference reduces the whole encoded element by the oracle's basis in one go
+(``Elimination.certificate``). Normal forms modulo a Gröbner basis are unique
+and linear, so the two must agree on members and non-members alike.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import blowring.groebner as groebner
+from blowring.blowup import membership
+from blowring.centralizer import model
+from blowring.kring import KRing
+from blowring.poly import LaurentPoly, parse_poly
+from blowring.scalars import gauss
+
+
+@pytest.fixture(scope="module")
+def oracles(blowups):
+    """The S <-> GG identification oracle and the K-ring's blow-up oracle, with their generators."""
+    m, B = model("S"), blowups["GG"]
+    certs = [membership(m.parametrization.images[c], B).certificate for c in m.coords]
+    K = KRing()
+    kcerts = K.generator_certificates()
+    return {
+        "S <-> GG": (B.ring.subalgebra_oracle(certs, [f"_m_{c}" for c in m.coords]), certs),
+        "kring": (K._blowup_oracle(), [kcerts[c] for c in K.model.coords]),
+    }
+
+
+coefficients = st.builds(gauss, st.integers(-3, 3), st.integers(-2, 2))
+tag_monomials = st.tuples(*[st.integers(0, 2)] * 3).filter(lambda e: sum(e) <= 2)
+perturbations = st.sampled_from(["0", "T", "y", "z^-1", "y*z", "y^-1*T", "z^2"])
+
+
+@st.composite
+def elements(draw, gens):
+    """A polynomial in the generators, plus a Laurent monomial that may leave the subalgebra."""
+    terms = draw(st.dictionaries(tag_monomials, coefficients, min_size=1, max_size=3))
+    f = LaurentPoly.const(0)
+    for exps, c in terms.items():
+        term = LaurentPoly.const(c)
+        for g, e in zip(gens, exps):
+            term = term * g**e
+        f = f + term
+    return f + draw(coefficients) * parse_poly(draw(perturbations))
+
+
+@pytest.mark.parametrize("name", ["S <-> GG", "kring"])
+class TestMemoizedRewrite:
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_direct_certificate(self, oracles, name, data):
+        oracle, gens = oracles[name]
+        f = data.draw(elements(gens))
+        assert oracle.rewrite(f) == oracle.ideal.certificate(oracle.ring._encode(f))
+
+    def test_generators_rewrite_to_their_tags(self, oracles, name):
+        oracle, gens = oracles[name]
+        for tag, g in zip(oracle.tags, gens):
+            assert oracle.rewrite(g) == LaurentPoly.var(tag).with_vars(oracle.tags)
+        assert not oracle.contains(parse_poly("T"))
+
+    def test_a_repeated_rewrite_reduces_nothing(self, oracles, name, monkeypatch):
+        oracle, gens = oracles[name]
+        f = sum(gens, LaurentPoly.const(0)) ** 3 + parse_poly("y*T")
+        first = oracle.rewrite(f)
+        calls = []
+        inner = groebner.normal_form
+        monkeypatch.setattr(groebner, "normal_form", lambda *a, **k: calls.append(1) or inner(*a, **k))
+        assert oracle.rewrite(f) == first
+        assert calls == []
+
+    def test_foreign_variable_rejected(self, oracles, name):
+        with pytest.raises(ValueError, match="not in target list"):
+            oracles[name][0].rewrite(parse_poly("q + y"))
