@@ -513,7 +513,7 @@ class TestSympyOracle:
     @settings(max_examples=30, deadline=None)
     @given(st.data())
     def test_random_elimination_ideals(self, data):
-        # three variables at most: sympy's lex bases can run for minutes on four
+        # three variables at most: sympy's lex basis of one 4-variable ideal ran past 100 s
         n = data.draw(st.integers(2, 3))
         vars = tuple("abc"[:n])
         k = data.draw(st.integers(1, n - 1))
