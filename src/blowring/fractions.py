@@ -1,7 +1,9 @@
 """Fractions of Laurent polynomials and ring maps with fractional images.
 
 No multivariate gcd is attempted: fractions only cancel unit (single-term)
-content, and equality is decided by cross-multiplication, which is exact.
+content. Sums, differences and equality of two fractions over equal
+denominators work on the numerators and keep the denominator; otherwise they
+cross-multiply, which is exact.
 """
 
 from __future__ import annotations
@@ -49,6 +51,8 @@ class RingFraction:
 
     def __add__(self, other) -> "RingFraction":
         other = RingFraction.of(other)
+        if _equal_dens(self.den, other.den):
+            return RingFraction(self.num + other.num, self.den)
         return RingFraction(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
@@ -57,10 +61,13 @@ class RingFraction:
         return RingFraction(-self.num, self.den)
 
     def __sub__(self, other) -> "RingFraction":
-        return self + (-RingFraction.of(other))
+        other = RingFraction.of(other)
+        if _equal_dens(self.den, other.den):
+            return RingFraction(self.num - other.num, self.den)
+        return RingFraction(self.num * other.den - other.num * self.den, self.den * other.den)
 
     def __rsub__(self, other) -> "RingFraction":
-        return RingFraction.of(other) + (-self)
+        return RingFraction.of(other) - self
 
     def __mul__(self, other) -> "RingFraction":
         other = RingFraction.of(other)
@@ -104,6 +111,8 @@ class RingFraction:
         if not isinstance(other, (RingFraction, LaurentPoly, int, GaussianRational)):
             return NotImplemented
         other = RingFraction.of(other)
+        if _equal_dens(self.den, other.den):
+            return self.num == other.num
         return (self.num * other.den - other.num * self.den).is_zero()
 
     def __hash__(self):
@@ -127,6 +136,13 @@ class RingFraction:
 
     def __repr__(self) -> str:
         return f"<RingFraction {self}>"
+
+
+def _equal_dens(a: LaurentPoly, b: LaurentPoly) -> bool:
+    """a == b, by a plain dict comparison when the variable lists agree."""
+    if a.vars == b.vars:
+        return a.terms == b.terms
+    return len(a.terms) == len(b.terms) and a == b
 
 
 def parse_fraction(text: str) -> RingFraction:

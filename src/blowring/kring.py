@@ -49,14 +49,6 @@ class VClass:
     def image(self) -> LaurentPoly:
         return v_dictionary(self.n, self.m)
 
-    def g_equivariant_side(self) -> bool:
-        """Even m: lies in the convolution subring of the smaller Grassmannian."""
-        return self.m % 2 == 0
-
-    def sheaf_side(self) -> bool:
-        """Even n: the dual-group-equivariant classes."""
-        return self.n % 2 == 0
-
     def __str__(self):
         return f"v({self.n})_{self.m}"
 

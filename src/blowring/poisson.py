@@ -65,17 +65,9 @@ class PoissonChart:
             if (b, a) in pairs_done:
                 continue
             pairs_done.add((a, b))
-            fa = self.derive(f, a)
-            if fa.is_zero():
-                fa = None
-            gb = self.derive(g, b)
-            part = RingFraction.of(LaurentPoly.zero())
-            if fa is not None and not gb.is_zero():
-                part = part + fa * gb
-            fb = self.derive(f, b)
-            ga = self.derive(g, a)
-            if not fb.is_zero() and not ga.is_zero():
-                part = part - fb * ga
+            # both products have the denominator den(f)^2 * den(g)^2, which
+            # their difference keeps rather than squares
+            part = self.derive(f, a) * self.derive(g, b) - self.derive(f, b) * self.derive(g, a)
             if not part.is_zero():
                 total = total + part * LaurentPoly.const(c)
         return total

@@ -197,22 +197,9 @@ class LaurentPoly:
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 
-    def constant_value(self) -> GaussianRational:
-        """The scalar value, if the polynomial is constant."""
-        if not self.terms:
-            return ZERO
-        ((exps, coeff),) = self.terms.items()
-        if any(exps):
-            raise ValueError("not a constant")
-        return coeff
-
     def coefficient(self, exps: Mapping[str, int]) -> GaussianRational:
         key = tuple(exps.get(v, 0) for v in self.vars)
         return self.terms.get(key, ZERO)
-
-    def total_height(self) -> int:
-        """Max over terms of sum |e_i|; the Laurent analogue of total degree."""
-        return max((sum(abs(e) for e in exps) for exps in self.terms), default=0)
 
     def min_degree_in(self, name: str) -> int:
         i = self.vars.index(name)

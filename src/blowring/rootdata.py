@@ -107,32 +107,6 @@ class RootDatum:
                 total[k] += v
         return tuple(total)
 
-    # -- Weyl group -------------------------------------------------------------
-
-    def weyl_elements(self) -> list[tuple[Vec, ...]]:
-        """W as matrices on X (tuples of basis-vector images), BFS closure."""
-        identity = tuple(_unit(i, self.rank) for i in range(self.rank))
-        gens = []
-        for i in range(self.rank):
-            gens.append(tuple(self.reflect_weight(i, _unit(k, self.rank)) for k in range(self.rank)))
-        for g in gens:
-            if _compose(g, g) != identity:
-                raise RootDatumError("Weyl generator is not an involution")
-        seen = {identity}
-        frontier = [identity]
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for g in gens:
-                    wg = _compose(g, w)
-                    if wg not in seen:
-                        seen.add(wg)
-                        nxt.append(wg)
-                        if len(seen) > WEYL_CAP:
-                            raise RootDatumError(f"Weyl group exceeds cap {WEYL_CAP}")
-            frontier = nxt
-        return sorted(seen)
-
     # -- dominance, dimension, perversity ----------------------------------------
 
     def is_dominant_coweight(self, coweight: Sequence[int]) -> bool:
@@ -187,20 +161,6 @@ def pgl2() -> RootDatum:
 
 def _unit(i: int, n: int) -> Vec:
     return tuple(1 if k == i else 0 for k in range(n))
-
-
-def _compose(a: tuple[Vec, ...], b: tuple[Vec, ...]) -> tuple[Vec, ...]:
-    """(a after b) acting on X row-vectors-of-images."""
-    n = len(a)
-    out = []
-    for i in range(n):
-        row = [0] * n
-        for k, c in enumerate(b[i]):
-            if c:
-                for m, d in enumerate(a[k]):
-                    row[m] += c * d
-        out.append(tuple(row))
-    return tuple(out)
 
 
 def _solve_columns(cols: list[list[int]], target: Sequence[int]) -> tuple[Fraction, ...]:

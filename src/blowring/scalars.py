@@ -120,13 +120,6 @@ class GaussianRational:
                 base = base * base
         return result
 
-    def conjugate(self) -> "GaussianRational":
-        return _triple(self._a, -self._b, self._d)
-
-    def norm(self) -> Fraction:
-        """re^2 + im^2 (a nonnegative rational)."""
-        return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
-
     # -- structure --------------------------------------------------------
 
     def __bool__(self) -> bool:

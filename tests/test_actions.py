@@ -90,7 +90,7 @@ def brute_force_generates(gens, action, laurent_vars, poly_vars, bound):
         for f in frontier:
             for g in gens:
                 cand = f * g
-                if cand.total_height() <= 2 * bound:
+                if max((sum(map(abs, exps)) for exps in cand.terms), default=0) <= 2 * bound:
                     nxt.append(cand)
         products.extend(nxt)
         frontier = nxt
@@ -126,7 +126,7 @@ def brute_force_generates(gens, action, laurent_vars, poly_vars, bound):
         return True
 
     for exps in _exponent_box(len(laurent_vars), len(poly_vars), bound):
-        mono = LaurentPoly(vars, {exps: LaurentPoly.const(1).constant_value()})
+        mono = LaurentPoly(vars, {exps: GaussianRational(1)})
         sym = action.reynolds(mono)
         if sym.is_zero():
             continue

@@ -27,12 +27,6 @@ class TestVClass:
             VClass(-1, 0)
         VClass(-1, 1)  # fine off the point orbit
 
-    def test_parity_sides(self):
-        assert VClass(1, 0).g_equivariant_side()  # m even
-        assert not VClass(1, 1).g_equivariant_side()
-        assert VClass(0, 1).sheaf_side()  # n even
-        assert not VClass(1, 1).sheaf_side()
-
     def test_image_matches_dictionary(self):
         assert VClass(1, 0).image() == a
         with pytest.raises(NotDerivableError):

@@ -1,9 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from blowring.blowup import factor_wall_denominator, membership
-from blowring.fractions import RingFraction
+from blowring.blowup import FLAVORS, factor_wall_denominator, membership
+from blowring.fractions import RingFraction, parse_fraction
 from blowring.poisson import PoissonChart, bracket_closure_check, standard_chart, torus_chart
 from blowring.poly import LaurentPoly, parse_poly
 from blowring.rootdata import sl2
@@ -11,6 +12,28 @@ from blowring.rootdata import sl2
 from conftest import random_laurent, sz_agree
 
 y, z = LaurentPoly.gens("y z")
+
+# {(t - t^-1)/(z - z^-1), (t - 2 + t^-1)/(z^2 - 2 + z^-2)} on the GGv chart as
+# printed while every sum of fractions cross-multiplied; the difference of its
+# two products squared their common denominator
+CROSS_MULTIPLIED_GGV_BRACKET = (
+    "(z^9*t^2 - 4*z^9*t + 6*z^9 - 7*z^7*t^2 - 4*z^9*t^-1 + 28*z^7*t + z^9*t^-2 - 42*z^7 +"
+    " 20*z^5*t^2 + 28*z^7*t^-1 - 80*z^5*t - 7*z^7*t^-2 + 120*z^5 - 28*z^3*t^2 - "
+    "80*z^5*t^-1 + 112*z^3*t + 20*z^5*t^-2 - 168*z^3 + 14*z*t^2 + 112*z^3*t^-1 - 56*z*t -"
+    " 28*z^3*t^-2 + 84*z + 14*z^-1*t^2 - 56*z*t^-1 - 56*z^-1*t + 14*z*t^-2 + 84*z^-1 - "
+    "28*z^-3*t^2 - 56*z^-1*t^-1 + 112*z^-3*t + 14*z^-1*t^-2 - 168*z^-3 + 20*z^-5*t^2 + "
+    "112*z^-3*t^-1 - 80*z^-5*t - 28*z^-3*t^-2 + 120*z^-5 - 7*z^-7*t^2 - 80*z^-5*t^-1 + "
+    "28*z^-7*t + 20*z^-5*t^-2 - 42*z^-7 + z^-9*t^2 + 28*z^-7*t^-1 - 4*z^-9*t - "
+    "7*z^-7*t^-2 + 6*z^-9 - 4*z^-9*t^-1 + z^-9*t^-2) / (z^12 - 12*z^10 + 66*z^8 - 220*z^6"
+    " + 495*z^4 - 792*z^2 + 924 - 792*z^-2 + 495*z^-4 - 220*z^-6 + 66*z^-8 - 12*z^-10 + "
+    "z^-12)"
+)
+GGV_BRACKET = (
+    "(z^3*t^2 - 4*z^3*t + 6*z^3 - z*t^2 - 4*z^3*t^-1 + 4*z*t + z^3*t^-2 - 6*z - z^-1*t^2 "
+    "+ 4*z*t^-1 + 4*z^-1*t - z*t^-2 - 6*z^-1 + z^-3*t^2 + 4*z^-1*t^-1 - 4*z^-3*t - "
+    "z^-1*t^-2 + 6*z^-3 - 4*z^-3*t^-1 + z^-3*t^-2) / (z^6 - 6*z^4 + 15*z^2 - 20 + 15*z^-2"
+    " - 6*z^-4 + z^-6)"
+)
 
 
 @pytest.fixture
@@ -108,3 +131,56 @@ class TestClosure:
         assert data["flavor"] == "GG"
         assert {"f", "g", "bracket", "member", "certificate"} <= set(data["pairs"][0])
         assert data["passed"] is True
+
+
+@st.composite
+def chart_elements(draw, B):
+    """A Weyl-invariant generator of B, or a small fraction in the chart coordinates."""
+    chart = standard_chart(B)
+    if draw(st.booleans()):
+        return draw(st.sampled_from(list(B.invariant_gens)))
+    names = tuple(chart.kinds)
+    # linear coordinates stay polynomial, log coordinates are Laurent
+    exps = st.tuples(*[st.integers(0 if chart.kinds[v] == "linear" else -2, 2) for v in names])
+    coeffs = st.integers(-3, 3).filter(bool)
+    num = LaurentPoly(names, draw(st.dictionaries(exps, coeffs, min_size=1, max_size=3)))
+    den = draw(st.sampled_from([LaurentPoly.const(1), B.walls[0], B.walls[0] + 3]))
+    return RingFraction(num, den)
+
+
+class TestBracketAlgebra:
+    """Antisymmetry and the Leibniz rule, by exact fraction equality."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(flavor=st.sampled_from(FLAVORS), data=st.data())
+    def test_antisymmetry_and_leibniz(self, blowups, flavor, data):
+        B = blowups[flavor]
+        chart = standard_chart(B)
+        f, g, h = (data.draw(chart_elements(B)) for _ in range(3))
+        assert chart.bracket(f, g) == -chart.bracket(g, f)
+        assert chart.bracket(f, f).is_zero()
+        assert chart.bracket(f * g, h) == f * chart.bracket(g, h) + chart.bracket(f, h) * g
+
+    def test_ggv_jacobi_denominators_stay_small(self, blowups, monkeypatch):
+        """Sums over equal denominators keep them: at most 31 terms (61 when they cross-multiplied)."""
+        sizes = []
+        jacobi_sum = PoissonChart.jacobi_sum
+
+        def recording(chart, *triple):
+            total = jacobi_sum(chart, *triple)
+            sizes.append(len(total.den.terms))
+            return total
+
+        monkeypatch.setattr(PoissonChart, "jacobi_sum", recording)
+        report = bracket_closure_check(blowups["GGv"])
+        assert report.passed and len(sizes) == 4
+        assert max(sizes) <= 31
+
+    def test_ggv_witness_equals_the_cross_multiplied_bracket(self, blowups):
+        B = blowups["GGv"]
+        gens = list(B.invariant_gens)
+        got = standard_chart(B).bracket(gens[2], gens[3])
+        assert str(got) == GGV_BRACKET
+        old = parse_fraction(CROSS_MULTIPLIED_GGV_BRACKET)
+        assert (got.num * old.den - old.num * got.den).is_zero()
+        assert len(got.den.terms) < len(old.den.terms)
