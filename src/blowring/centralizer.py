@@ -82,9 +82,6 @@ class ParametricMatrix:
     def commutator(self, other: "ParametricMatrix") -> "ParametricMatrix":
         return self * other - other * self
 
-    def trace(self) -> LaurentPoly:
-        return self.entries[0][0] + self.entries[1][1]
-
     def det(self) -> LaurentPoly:
         e = self.entries
         return e[0][0] * e[1][1] - e[0][1] * e[1][0]
@@ -100,9 +97,6 @@ class ParametricMatrix:
     def __repr__(self):
         rows = "; ".join(", ".join(str(e) for e in row) for row in self.entries)
         return f"[{rows}]"
-
-    def to_strings(self) -> list[list[str]]:
-        return [[str(e) for e in row] for row in self.entries]
 
 
 IDENTITY2 = ParametricMatrix([[1, 0], [0, 1]])
@@ -463,7 +457,6 @@ _MODELS = {
     "S'": _model_S_prime,
     "A2-Gg": _model_A2_Gg,
     "A2-gg": _model_A2_gg,
-    "a2_gg": _model_A2_gg,
 }
 
 
@@ -554,7 +547,7 @@ def blowup_match(m: SliceModel, B: BlowupAlgebra, degree_bound: int = MATCH_BOX_
             certificates.append(res.certificate)
     failed: list[str] = []
     if images_invariant and all(members.values()):
-        oracle = B.ring.subalgebra_oracle(certificates, [f"_m_{c}" for c in m.coords])
+        oracle = B.ring.subalgebra_oracle(certificates, m.coords)
         for _, inv in _symmetrized_candidates(B.weyl, degree_bound, B.ring):
             if not oracle.contains(inv):
                 failed.append(str(inv))

@@ -110,13 +110,11 @@ def subring_filter(f: LaurentPoly, side: str) -> bool:
 class KRing:
     """The three isomorphic presentations with conversion maps."""
 
-    def __init__(self, datum=None):
-        self.datum = datum or sl2()
+    def __init__(self, blowup: BlowupAlgebra | None = None):
         self.model = model("S")
         self.ring = abstract_ring()
-        self.blowup: BlowupAlgebra = build_blowup(self.datum, "GG")
+        self.blowup = blowup or build_blowup(sl2(), "GG")
         self._to_blowup_certs: dict[str, LaurentPoly] | None = None
-        self._from_blowup: SubalgebraOracle | None = None
 
     # -- certificates of the abstract generators inside the blow-up ----------
 
@@ -132,12 +130,8 @@ class KRing:
         return self._to_blowup_certs
 
     def _blowup_oracle(self) -> SubalgebraOracle:
-        if self._from_blowup is None:
-            certs = self.generator_certificates()
-            self._from_blowup = self.blowup.ring.subalgebra_oracle(
-                [certs[c] for c in self.model.coords], self.model.coords
-            )
-        return self._from_blowup
+        certs = self.generator_certificates()
+        return self.blowup.ring.subalgebra_oracle([certs[c] for c in self.model.coords], self.model.coords)
 
     # -- conversions ------------------------------------------------------------
 

@@ -42,9 +42,6 @@ class PoissonChart:
             self.base[(a, b)] = c
             self.base[(b, a)] = -c
 
-    def constant(self, a: str, b: str) -> GaussianRational:
-        return self.base.get((a, b), gauss(0))
-
     def derive(self, f: RingFraction, var: str) -> RingFraction:
         """The chart derivation along var (v d/dv on log, d/dv on linear)."""
         kind = self.kinds[var]

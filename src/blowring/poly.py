@@ -108,8 +108,11 @@ class LaurentPoly:
                 seen.add(v)
         return tuple(merged)
 
-    def _pair(self, other) -> tuple["LaurentPoly", "LaurentPoly"]:
+    def _pair(self, other) -> tuple["LaurentPoly", "LaurentPoly"] | None:
+        """Both operands over one variable list; None if other is no scalar or polynomial."""
         if not isinstance(other, LaurentPoly):
+            if not isinstance(other, (int, Fraction, GaussianRational)):
+                return None
             other = LaurentPoly.const(other, self.vars)
         if self.vars == other.vars:
             return self, other
@@ -119,7 +122,10 @@ class LaurentPoly:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other) -> "LaurentPoly":
-        a, b = self._pair(other)
+        pair = self._pair(other)
+        if pair is None:
+            return NotImplemented
+        a, b = pair
         terms = dict(a.terms)
         for exps, coeff in b.terms.items():
             s = terms.get(exps, ZERO) + coeff
@@ -135,8 +141,7 @@ class LaurentPoly:
         return LaurentPoly(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "LaurentPoly":
-        a, b = self._pair(other)
-        return a + (-b)
+        return self + (-other)
 
     def __rsub__(self, other) -> "LaurentPoly":
         return (-self) + other
@@ -147,6 +152,8 @@ class LaurentPoly:
             if not c:
                 return LaurentPoly.zero(self.vars)
             return LaurentPoly(self.vars, {e: k * c for e, k in self.terms.items()})
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
         a, b = self._pair(other)
         terms: dict[Exps, GaussianRational] = {}
         for e1, c1 in a.terms.items():
@@ -196,10 +203,6 @@ class LaurentPoly:
 
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
-
-    def coefficient(self, exps: Mapping[str, int]) -> GaussianRational:
-        key = tuple(exps.get(v, 0) for v in self.vars)
-        return self.terms.get(key, ZERO)
 
     def min_degree_in(self, name: str) -> int:
         i = self.vars.index(name)
@@ -362,31 +365,13 @@ class LaurentPoly:
             prim = -prim
         return factor, prim
 
-    # -- text & wire formats --------------------------------------------------
+    # -- text forms -----------------------------------------------------------
 
     def __str__(self) -> str:
         return format_poly(self)
 
     def __repr__(self) -> str:
         return f"<LaurentPoly {format_poly(self)}>"
-
-    def to_json(self) -> dict:
-        order = sorted(self.terms, key=_display_key, reverse=True)
-        return {
-            "vars": list(self.vars),
-            "terms": [{"c": self.terms[e].to_parts(), "e": list(e)} for e in order],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "LaurentPoly":
-        vars = tuple(data["vars"])
-        terms: dict[Exps, GaussianRational] = {}
-        for item in data["terms"]:
-            exps = tuple(item["e"])
-            coeff = GaussianRational.from_parts(item["c"])
-            prev = terms.get(exps)
-            terms[exps] = coeff if prev is None else prev + coeff
-        return cls(vars, terms)
 
 
 def _gcd(a: int, b: int) -> int:

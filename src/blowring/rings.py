@@ -49,6 +49,7 @@ class PresentedRing:
             gens = list(_ambient_gens)
         self.ideal = Ideal(PolyRing(self._ambient), gens)
         self._division_cache: dict = {}
+        self._oracles: dict = {}
 
     # -- the unit-pair encoding -------------------------------------------------
 
@@ -154,7 +155,12 @@ class PresentedRing:
     def subalgebra_oracle(
         self, generators: Sequence[LaurentPoly], tags: Sequence[str]
     ) -> "SubalgebraOracle":
-        return SubalgebraOracle(self, generators, tags)
+        """One oracle per generators and tags, shared with its rewrite memo."""
+        key = (tuple(generators), tuple(tags))
+        oracle = self._oracles.get(key)
+        if oracle is None:
+            oracle = self._oracles[key] = SubalgebraOracle(self, generators, tags)
+        return oracle
 
     # -- grading -------------------------------------------------------------------
 

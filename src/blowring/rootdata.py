@@ -8,7 +8,6 @@ adjoint flavor X uses simple roots (fundamental coweights are unit vectors).
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from typing import Sequence
 
@@ -85,9 +84,6 @@ class RootDatum:
             self._roots = tuple(sorted(seen.items()))
         return self._roots
 
-    def roots(self) -> tuple[Vec, ...]:
-        return tuple(a for a, _ in self.root_pairs())
-
     def positive_root_pairs(self) -> tuple[tuple[Vec, Vec], ...]:
         out = []
         for a, ac in self.root_pairs():
@@ -124,16 +120,6 @@ class RootDatum:
 
     def perversity(self, coweight: Sequence[int]) -> Fraction:
         return Fraction(self.perversity_doubled(coweight), 2)
-
-    # -- serialization --------------------------------------------------------------
-
-    def to_json(self) -> str:
-        return json.dumps({"cartan": [list(r) for r in self.cartan], "flavor": self.flavor})
-
-    @classmethod
-    def from_json(cls, text: str) -> "RootDatum":
-        data = json.loads(text)
-        return cls(data["cartan"], data["flavor"])
 
     def __repr__(self):
         return f"RootDatum(cartan={self.cartan}, flavor={self.flavor!r})"

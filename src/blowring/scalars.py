@@ -153,18 +153,6 @@ class GaussianRational:
     def __repr__(self) -> str:
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
-    # -- serialization ----------------------------------------------------
-
-    def to_parts(self) -> list[int]:
-        """[re_num, re_den, im_num, im_den], the JSON wire form."""
-        re, im = self.re, self.im
-        return [re.numerator, re.denominator, im.numerator, im.denominator]
-
-    @classmethod
-    def from_parts(cls, parts: list[int]) -> "GaussianRational":
-        rn, rd, im, idn = parts
-        return cls(Fraction(rn, rd), Fraction(im, idn))
-
 
 _new = object.__new__
 

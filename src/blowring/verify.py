@@ -4,20 +4,37 @@ Each suite returns a Report with one record per check. A check is a name and
 a thunk passed to ``Report.check``, which runs the thunk at once; with timing
 on, a record's ``ms`` covers that thunk's own work only. Set-up that several
 checks share (blow-ups, bracket closures, the K-ring) runs in the suite body
-and is charged to no check. An optional corruption target perturbs a single
-relation coefficient so the exit-code contract can be exercised end to end;
-corrupted runs must fail.
+and is charged to no check.
+
+``run_suite`` hands every suite one memoized blow-up builder, so a run builds
+each flavor once, whichever suites ask for it. The subalgebra oracles hang off
+the blow-up's ring, which builds each of them once too: the ``S <-> GG``
+identification and the K-ring share one. The builder lives for one
+``run_suite`` call. An optional corruption target perturbs a single relation
+coefficient so the exit-code contract can be exercised end to end; a corrupted
+blow-up is a new object made with ``dataclasses.replace``, so no other suite
+sees it. Corrupted runs must fail.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import replace
+from functools import cache, partial
 from itertools import combinations_with_replacement
+from typing import Callable
 
 from . import centralizer as cz
 from .actions import GroupAction, Substitution, invariant_generators
-from .blowup import FLAVORS, build_blowup, denis_check, discriminant, membership, unit_comparison
+from .blowup import (
+    FLAVORS,
+    BlowupAlgebra,
+    build_blowup,
+    denis_check,
+    discriminant,
+    membership,
+    unit_comparison,
+)
 from .fractions import RingFraction
 from .fusion import consistency_sweep, fusion_table
 from .heisenberg import HeisenbergElement, commutes_at_q1, poisson_from_q, torus_monomial
@@ -47,12 +64,11 @@ def corrupt_constant(rel: LaurentPoly) -> LaurentPoly:
     return rel + 1
 
 
-def suite_blowup(cfg: Config, corrupt: str | None = None) -> Report:
+def suite_blowup(cfg: Config, corrupt: str | None, blowup: Callable[[str], BlowupAlgebra]) -> Report:
     datum = sl2()
     report = Report("blowup", cfg.timing)
-    clean = {}
     for flavor in FLAVORS:
-        B = clean[flavor] = build_blowup(datum, flavor)
+        B = blowup(flavor)
         (tname,) = B.gen_names
         rel = LaurentPoly.var(tname) * B.walls[0] - B.numerators[0]
         if corrupt == f"blowup:{flavor}":
@@ -82,7 +98,7 @@ def suite_blowup(cfg: Config, corrupt: str | None = None) -> Report:
 
             report.check(f"{flavor}: discriminant is W-invariant", w_invariant)
 
-    B = clean["GG"]
+    B = blowup("GG")
     y, z = LaurentPoly.gens("y z")
 
     def certificate_is_T():
@@ -106,8 +122,7 @@ def suite_blowup(cfg: Config, corrupt: str | None = None) -> Report:
     return report
 
 
-def suite_centralizer(cfg: Config, corrupt: str | None = None) -> Report:
-    datum = sl2()
+def suite_centralizer(cfg: Config, corrupt: str | None, blowup: Callable[[str], BlowupAlgebra]) -> Report:
     report = Report("centralizer", cfg.timing)
     for flavor in ("group", "lie"):
         M = cz.kostant_slice(flavor)
@@ -149,7 +164,7 @@ def suite_centralizer(cfg: Config, corrupt: str | None = None) -> Report:
             return cz.kernel_matches_relation(m, kernel), "; ".join(str(g) for g in kernel.groebner()) or "0"
 
         report.check(f"{name}: implicitization kernel equals the model relation", kernel_is_relation)
-        B = build_blowup(datum, m.blowup_flavor)
+        B = blowup(m.blowup_flavor)
 
         def identification():
             match = cz.blowup_match(m, B)
@@ -174,7 +189,7 @@ def suite_centralizer(cfg: Config, corrupt: str | None = None) -> Report:
     return report
 
 
-def suite_kring(cfg: Config, corrupt: str | None = None) -> Report:
+def suite_kring(cfg: Config, corrupt: str | None, blowup: Callable[[str], BlowupAlgebra]) -> Report:
     report = Report("kring", cfg.timing)
     star = cz.model("S").relation
     if corrupt == "kring":
@@ -213,7 +228,7 @@ def suite_kring(cfg: Config, corrupt: str | None = None) -> Report:
     for name, thunk in dictionary_rederivations().items():
         report.check(f"dictionary: {name}", thunk)
 
-    K = KRing()
+    K = KRing(blowup("GG"))
 
     def round_trip(gen, there, back):
         image = there(gen)
@@ -271,7 +286,7 @@ def suite_kring(cfg: Config, corrupt: str | None = None) -> Report:
     return report
 
 
-def suite_homology(cfg: Config, corrupt: str | None = None) -> Report:
+def suite_homology(cfg: Config, corrupt: str | None, blowup: Callable[[str], BlowupAlgebra]) -> Report:
     report = Report("homology", cfg.timing)
     rel = None
     if corrupt == "homology":
@@ -319,7 +334,7 @@ def _random_heisenberg(rng: random.Random, datum, max_terms=3) -> HeisenbergElem
     return e
 
 
-def suite_heisenberg(cfg: Config, corrupt: str | None = None) -> Report:
+def suite_heisenberg(cfg: Config, corrupt: str | None, blowup: Callable[[str], BlowupAlgebra]) -> Report:
     report = Report("heisenberg", cfg.timing)
     datum = sl2()
     rng = random.Random(cfg.seed)
@@ -381,7 +396,7 @@ def suite_heisenberg(cfg: Config, corrupt: str | None = None) -> Report:
     return report
 
 
-def suite_steinberg(cfg: Config, corrupt: str | None = None) -> Report:
+def suite_steinberg(cfg: Config, corrupt: str | None, blowup: Callable[[str], BlowupAlgebra]) -> Report:
     report = Report("steinberg", cfg.timing)
     action = GroupAction([Substitution.parse({"t": "t^-1", "z": "z^-1"})])
     z = LaurentPoly.var("z")
@@ -425,11 +440,12 @@ _SUITE_FUNCS = {
 def run_suite(name: str, cfg: Config, corrupt: str | None = None) -> Report:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; expected one of {SUITES}")
+    blowup = cache(partial(build_blowup, sl2()))
     if name != "all":
-        return _SUITE_FUNCS[name](cfg, corrupt)
+        return _SUITE_FUNCS[name](cfg, corrupt, blowup)
     combined = Report("all")
     for sub in SUITES[1:]:
-        part = _SUITE_FUNCS[sub](cfg, corrupt)
+        part = _SUITE_FUNCS[sub](cfg, corrupt, blowup)
         for check in part.checks:
             check.name = f"{sub}: {check.name}"
         combined.extend(part)

@@ -32,12 +32,11 @@ y, z, x = LaurentPoly.gens("y z x")
 class TestSlices:
     def test_group_slice_verbatim(self):
         M = kostant_slice("group")
-        assert M.to_strings() == [["a - 1", "a - 2"], ["1", "1"]]
-        assert M.trace() == parse_poly("a")
+        assert [[str(e) for e in row] for row in M.entries] == [["a - 1", "a - 2"], ["1", "1"]]
 
     def test_lie_slice_verbatim(self):
         M = kostant_slice("lie")
-        assert M.to_strings() == [["0", "delta"], ["1", "0"]]
+        assert [[str(e) for e in row] for row in M.entries] == [["0", "delta"], ["1", "0"]]
 
     def test_unknown_flavor(self):
         with pytest.raises(CentralizerError):
@@ -105,7 +104,6 @@ class TestModels:
 
     def test_aliases(self):
         assert model("S'").name == "S-prime"
-        assert model("a2_gg").name == "A2-gg"
         with pytest.raises(CentralizerError):
             model("T")
 

@@ -127,6 +127,11 @@ def test_mixed_operands_agree_with_pairs(num, poly, k):
     assert _same(x - k, _ref_sub(p, (LaurentPoly.const(k), one)))
     assert _same(k - x, _ref_sub((LaurentPoly.const(k), one), p))
     assert (x == poly) == _ref_sub(p, (poly, one))[0].is_zero()
+    # a polynomial on the left falls through to the fraction's reflected operators
+    assert _same(poly + x, _ref_add((poly, one), p))
+    assert _same(poly - x, _ref_sub((poly, one), p))
+    assert _same(poly * x, _ref_mul((poly, one), p))
+    assert (poly == x) == (x == poly)
 
 
 def test_unequal_denominators_of_one_size_cross_multiply():

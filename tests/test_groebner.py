@@ -48,7 +48,6 @@ class TestGroebnerBasics:
         J = ideal(("delta", "xi", "eta"), ["xi^2 - delta*eta^2 - 1"], order)
         (g,) = J.groebner()
         assert g == parse_poly("xi^2 - delta*eta^2 - 1")
-        assert g.coefficient({"xi": 2}) == 1
 
     def test_generators_reduce_to_zero(self):
         I = ideal(("a", "b", "c"), ["a*b*c - b^2 - c^2 - 1", "a^2 - b*c"])

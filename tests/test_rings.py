@@ -25,7 +25,7 @@ def oracles(blowups):
     K = KRing()
     kcerts = K.generator_certificates()
     return {
-        "S <-> GG": (B.ring.subalgebra_oracle(certs, [f"_m_{c}" for c in m.coords]), certs),
+        "S <-> GG": (B.ring.subalgebra_oracle(certs, m.coords), certs),
         "kring": (K._blowup_oracle(), [kcerts[c] for c in K.model.coords]),
     }
 
