@@ -13,6 +13,7 @@ dual-torus fiber over a torus base (the convolution-ring flavor).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from typing import Sequence
 
 from .actions import GroupAction, Substitution
@@ -51,16 +52,10 @@ class BlowupAlgebra:
     gen_names: tuple[str, ...]
     numerators: tuple[LaurentPoly, ...]
     walls: tuple[LaurentPoly, ...]
+    wall_product: LaurentPoly
     ring: PresentedRing
     weyl: GroupAction | None = None
     invariant_gens: tuple[RingFraction, ...] = ()
-
-    @property
-    def wall_product(self) -> LaurentPoly:
-        prod = LaurentPoly.const(1)
-        for w in self.walls:
-            prod = prod * w
-        return prod
 
     def __repr__(self):
         gens = ", ".join(
@@ -135,11 +130,8 @@ def build_blowup(datum: RootDatum, flavor: str) -> BlowupAlgebra:
         (laurent if kind in ("group", "dual-group") else poly).extend(vars)
     poly.extend(gen_names)
 
-    ring = PresentedRing(laurent, poly, relations)
-    wall_product = LaurentPoly.const(1)
-    for w in walls:
-        wall_product = wall_product * w
-    ring = ring.saturated(wall_product)
+    wall_product = prod(walls, start=LaurentPoly.const(1))
+    ring = PresentedRing(laurent, poly, relations).saturated(wall_product)
 
     algebra = BlowupAlgebra(
         flavor=flavor,
@@ -149,6 +141,7 @@ def build_blowup(datum: RootDatum, flavor: str) -> BlowupAlgebra:
         gen_names=gen_names,
         numerators=tuple(numerators),
         walls=tuple(walls),
+        wall_product=wall_product,
         ring=ring,
     )
     if rank == 1:
@@ -275,8 +268,7 @@ def membership(frac: RingFraction, B: BlowupAlgebra) -> MembershipResult:
     k, unit = factor_wall_denominator(den, wall, B.ring.laurent_vars)
     num = num * unit.monomial_inverse()
     if k == 0:
-        cert = B.ring.nf(num)
-        return MembershipResult(True, cert, 0)
+        return MembershipResult(True, B.ring.nf(num), 0)
     cert = B.ring.divide(num, wall, power=k)
     return MembershipResult(cert is not None, cert, k)
 
@@ -364,10 +356,8 @@ def discriminant(datum: RootDatum, flavor: str) -> LaurentPoly:
     """prod over all roots of (alpha - 1) (torus base) or alpha (Lie base)."""
     first_kind, second_kind = _FACTOR_KINDS[flavor]
     vars = _factor_vars(second_kind, _RANK1_SECOND_VAR[flavor], datum.rank)
-    out = LaurentPoly.const(1, vars)
-    for root, coroot in datum.root_pairs():
-        out = out * _factor_equation(second_kind, vars, datum, root, coroot)
-    return out
+    factors = (_factor_equation(second_kind, vars, datum, r, c) for r, c in datum.root_pairs())
+    return prod(factors, start=LaurentPoly.const(1, vars))
 
 
 def unit_comparison(chars: Sequence[LaurentPoly]) -> tuple[LaurentPoly, LaurentPoly, LaurentPoly]:
@@ -375,15 +365,13 @@ def unit_comparison(chars: Sequence[LaurentPoly]) -> tuple[LaurentPoly, LaurentP
 
     Verifies Delta_1 == Delta_2 * prod(-chi) exactly; raises on failure.
     """
-    d1 = LaurentPoly.const(1)
-    d2 = LaurentPoly.const(1)
-    unit = LaurentPoly.const(1)
     for chi in chars:
         if not chi.is_monomial():
             raise BlowupError(f"character {chi} is not a monomial")
-        d1 = d1 * (1 - chi)
-        d2 = d2 * (1 - chi.monomial_inverse())
-        unit = unit * (-chi)
+    one = LaurentPoly.const(1)
+    d1 = prod((1 - chi for chi in chars), start=one)
+    d2 = prod((1 - chi.monomial_inverse() for chi in chars), start=one)
+    unit = prod((-chi for chi in chars), start=one)
     if d1 != d2 * unit:
         raise AssertionError("unit identity Delta_1 = Delta_2 * prod(-chi) failed")
     return d1, d2, unit

@@ -34,6 +34,12 @@ class ResourceLimitError(RuntimeError):
     """Raised when a computation exceeds the configured term cap."""
 
 
+def check_terms(count: int, what: str):
+    """Raise ResourceLimitError if ``count`` terms exceed the current term cap."""
+    if count > _term_cap:
+        raise ResourceLimitError(f"{what} exceeded {_term_cap} terms")
+
+
 class OrderMismatchError(ValueError):
     """Raised when a polynomial does not live in an ideal's ring."""
 
@@ -224,7 +230,6 @@ def buchberger(gens: Iterable[LaurentPoly], ring: PolyRing) -> list[LaurentPoly]
     the result depends only on the generators and the order, not on
     scheduling.
     """
-    term_cap = _term_cap
     order = ring.order
     key = order.key
 
@@ -272,8 +277,7 @@ def buchberger(gens: Iterable[LaurentPoly], ring: PolyRing) -> list[LaurentPoly]
             k = len(basis) - 1
             for m in range(k):
                 push_pair(m, k)
-            if sum(len(b.terms) for b in basis) > term_cap:
-                raise ResourceLimitError(f"basis exceeded {term_cap} terms")
+            check_terms(sum(len(b.terms) for b in basis), "basis")
     return _reduce_basis(basis, leads, ring)
 
 
@@ -355,10 +359,8 @@ def laurent_exact_divide(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly | None:
     g = g.with_vars(vars)
     shift_f = {v: -min(0, f.min_degree_in(v)) for v in vars}
     shift_g = {v: -min(0, g.min_degree_in(v)) for v in vars}
-    fpos = f * LaurentPoly.monomial(ONE, shift_f)
-    gpos = g * LaurentPoly.monomial(ONE, shift_g)
-    fpos = fpos.with_vars(vars)
-    gpos = gpos.with_vars(vars)
+    fpos = (f * LaurentPoly.monomial(ONE, shift_f)).with_vars(vars)
+    gpos = (g * LaurentPoly.monomial(ONE, shift_g)).with_vars(vars)
     ring = PolyRing(vars)
     q, r = laurent_divmod_single(fpos, gpos, ring)
     if not r.is_zero():
@@ -397,7 +399,6 @@ def laurent_divmod_single(f: LaurentPoly, g: LaurentPoly, ring: PolyRing):
     return LaurentPoly(ring.vars, q), LaurentPoly(ring.vars, r)
 
 
-
 # -- ideals --------------------------------------------------------------------
 
 
@@ -434,12 +435,20 @@ class Ideal:
         return Elimination(drop, kept, self.gens, ()).kept()
 
     def saturate(self, f: LaurentPoly) -> "Ideal":
-        """I : f^infinity via an auxiliary inverse of f."""
+        """I : f^infinity, eliminated from J = I + (f*w - 1) with w auxiliary.
+
+        J = (I : f^infinity) + (f*w - 1), so ``_inverted`` keeps J to divide by f.
+        The basis comes from J's under grevlex (see ``kept``), else on first use.
+        """
         f = self.ring.align(f)
         if not f.terms:
             raise ValueError("cannot saturate by zero")
-        inner = Elimination((), self.ring.vars, self.gens, [f]).kept()
-        return Ideal(self.ring, inner.gens)
+        inverted = Elimination((), self.ring.vars, self.gens, [f])
+        sat = inverted.kept()
+        if not isinstance(self.ring.order, GrevLex):
+            sat = Ideal(self.ring, sat.gens)
+        sat._inverted = inverted
+        return sat
 
     def __repr__(self):
         gens = ", ".join(str(g) for g in self.gens[:4])
@@ -485,10 +494,12 @@ class Elimination(Ideal):
         return None
 
     def kept(self) -> Ideal:
-        """The elimination ideal, in the ring of the kept variables."""
+        """The elimination ideal, with its reduced basis: the first-block-free part of this basis."""
         keep = set(self.keep)
         gens = [g.with_vars(self.keep) for g in self.groebner() if set(g.support_vars()) <= keep]
-        return Ideal(PolyRing(self.keep), gens)
+        kept = Ideal(PolyRing(self.keep), gens)
+        kept._gb = kept.gens
+        return kept
 
 
 def _fresh_names(taken: set[str], count: int) -> list[str]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from .fractions import RingFraction, RingMap
-from .groebner import Elimination, Ideal, PolyRing
+from .groebner import Elimination, Ideal, PolyRing, check_terms
 from .poly import Exps, LaurentPoly
 from .scalars import GaussianRational, ONE
 
@@ -30,7 +30,7 @@ class PresentedRing:
         poly_vars: Sequence[str],
         relations: Sequence[LaurentPoly] = (),
         grading: Mapping[str, int] | None = None,
-        _ambient_gens: Sequence[LaurentPoly] | None = None,
+        _ideal: Ideal | None = None,
     ):
         self.laurent_vars = tuple(laurent_vars)
         self.poly_vars = tuple(poly_vars)
@@ -42,12 +42,10 @@ class PresentedRing:
         self._slot = {v: 2 * i for i, v in enumerate(self.laurent_vars)}
         n = 2 * len(self.laurent_vars)
         self._slot.update((v, n + i) for i, v in enumerate(self.poly_vars))
-        if _ambient_gens is None:
+        if _ideal is None:
             units = [LaurentPoly.var(v) * LaurentPoly.var(v + "'") - 1 for v in self.laurent_vars]
-            gens = units + [self._encode(r) for r in relations]
-        else:
-            gens = list(_ambient_gens)
-        self.ideal = Ideal(PolyRing(self._ambient), gens)
+            _ideal = Ideal(PolyRing(self._ambient), units + [self._encode(r) for r in relations])
+        self.ideal = _ideal
         self._division_cache: dict = {}
         self._oracles: dict = {}
 
@@ -122,15 +120,16 @@ class PresentedRing:
     # -- saturation -----------------------------------------------------------
 
     def saturated(self, by: LaurentPoly) -> "PresentedRing":
-        """Same presentation with the relation ideal saturated at ``by``."""
-        sat = self.ideal.saturate(self._encode(by))
-        return PresentedRing(
-            self.laurent_vars,
-            self.poly_vars,
-            self.relations,
-            grading=self.grading,
-            _ambient_gens=sat.groebner(),
-        )
+        """Same presentation with the relation ideal saturated at ``by``.
+
+        With ``by`` inverted the saturation is the ideal J = I + (by*w - 1) it was
+        eliminated from, so J's basis is the new ring's context for dividing by ``by``.
+        """
+        by = self._encode(by)
+        sat = self.ideal.saturate(by)
+        ring = PresentedRing(self.laurent_vars, self.poly_vars, self.relations, self.grading, sat)
+        ring._division_cache[str(by)] = sat._inverted
+        return ring
 
     # -- division with certificate ---------------------------------------------
 
@@ -218,6 +217,7 @@ class SubalgebraOracle:
             for e, d in self._monomial_nf(m + pad).terms.items():
                 prev = total.get(e)
                 total[e] = c * d if prev is None else prev + c * d
+            check_terms(len(total), "rewrite")
         r = LaurentPoly(self.ideal.ring.vars, total)
         if set(r.support_vars()) <= set(self.tags):
             return r.with_vars(self.tags)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from blowring.blowup import FLAVORS
 from blowring.groebner import (
     BlockOrder,
     Elimination,
@@ -11,6 +12,7 @@ from blowring.groebner import (
     Ideal,
     PolyRing,
     ResourceLimitError,
+    buchberger,
     laurent_exact_divide,
     normal_form,
     term_budget,
@@ -172,6 +174,15 @@ class TestSaturation:
         I = ideal(("x", "t"), ["x*t - 1"])
         S = I.saturate(LaurentPoly.const(1, I.ring.vars))
         assert [str(g) for g in S.groebner()] == [str(g) for g in I.groebner()]
+
+    def test_saturation_keeps_a_non_grevlex_order(self):
+        # the elimination leaves a grevlex basis; under y > (x, t) the basis differs
+        I = ideal(("x", "y", "t"), ["x*y - x*t^2", "x*y*t - x"], BlockOrder([[1], [0, 2]]))
+        S = I.saturate(parse_poly("x").with_vars(I.ring.vars))
+        assert S.ring is I.ring
+        assert [str(g) for g in S.groebner()] == ["t^3 - 1", "-t^2 + y"]
+        assert S.groebner() == buchberger(S.gens, S.ring)
+        assert len(Ideal(PolyRing(I.ring.vars), S.gens).groebner()) == 3
 
     def test_blowup_saturation_oracle(self, blowups):
         """The saturated GG quotient agrees with ten hand-checked memberships.
@@ -520,6 +531,16 @@ class TestSympyOracle:
         gens = [LaurentPoly(vars, g.terms) for g in gens]
         kept = Elimination(vars[:k], vars[k:], gens, ()).kept()
         assert _our_basis(kept.groebner()) == _sympy_elimination_basis(gens, vars[:k], vars[k:])
+
+    @pytest.mark.parametrize("flavor", FLAVORS)
+    def test_blowup_saturation(self, blowups, flavor):
+        # I : wall^infinity from sympy: eliminate w from I + (wall*w - 1) by lex, then grevlex
+        B = blowups[flavor]
+        ring = B.ring
+        unsaturated = PresentedRing(ring.laurent_vars, ring.poly_vars, ring.relations).ideal
+        J = Elimination((), ring._ambient, unsaturated.gens, [ring._encode(B.wall_product)])
+        ours = _our_basis(ring.ideal.groebner())
+        assert ours == _sympy_elimination_basis(J.gens, J.aux, ring._ambient)
 
     def test_kring_oracle_elimination_ideal(self):
         # the relation among the K-ring generators inside the GG blow-up: the S model's cubic

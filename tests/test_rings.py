@@ -1,19 +1,27 @@
-"""The subalgebra oracle's memoized rewrite against a direct normal form.
+"""The subalgebra oracle's memoized rewrite, and the bases a saturated ring reuses.
 
 ``SubalgebraOracle.rewrite`` sums memoized normal forms of monomials; the
 reference reduces the whole encoded element by the oracle's basis in one go
 (``Elimination.certificate``). Normal forms modulo a Gröbner basis are unique
 and linear, so the two must agree on members and non-members alike.
+
+A blow-up's ring is saturated at the wall. The saturation's elimination
+basis is also the basis that divides by the wall, and its wall-free part is
+the ring's basis, so building a blow-up and dividing by its wall run
+Buchberger once.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import blowring.groebner as groebner
-from blowring.blowup import membership
+from blowring.blowup import FLAVORS, build_blowup, membership
 from blowring.centralizer import model
+from blowring.fractions import RingFraction
 from blowring.kring import KRing
 from blowring.poly import LaurentPoly, parse_poly
+from blowring.rings import PresentedRing
+from blowring.rootdata import sl2
 from blowring.scalars import gauss
 
 
@@ -76,3 +84,33 @@ class TestMemoizedRewrite:
     def test_foreign_variable_rejected(self, oracles, name):
         with pytest.raises(ValueError, match="not in target list"):
             oracles[name][0].rewrite(parse_poly("q + y"))
+
+
+def test_rewrite_sum_is_bounded_by_the_term_cap():
+    # each memoized monomial normal form has one term; their sum has ten
+    oracle = PresentedRing((), ("x",)).subalgebra_oracle([parse_poly("x")], ["s"])
+    f = sum((parse_poly("x") ** k for k in range(10)), LaurentPoly.const(0))
+    assert len(oracle.rewrite(f).terms) == 10
+    with groebner.term_budget(9), pytest.raises(groebner.ResourceLimitError, match="rewrite"):
+        oracle.rewrite(f)
+    with groebner.term_budget(10):
+        assert len(oracle.rewrite(f).terms) == 10
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_saturation_basis_is_built_once(flavor, monkeypatch):
+    calls = []
+    inner = groebner.buchberger
+    monkeypatch.setattr(groebner, "buchberger", lambda *a, **k: calls.append(1) or inner(*a, **k))
+    B = build_blowup(sl2(), flavor)
+    ring = B.ring
+    contexts = dict(ring._division_cache)
+    res = membership(RingFraction(B.numerators[0], B.walls[0]), B)
+    assert res.member and res.wall_power == 1
+    assert len(calls) == 1
+    assert ring._division_cache == contexts
+    monkeypatch.undo()
+    assert ring.ideal.groebner() == groebner.buchberger(ring.ideal.gens, ring.ideal.ring)
+    (context,) = contexts.values()
+    fresh = groebner.Elimination((), ring._ambient, ring.ideal.gens, [ring._encode(B.wall_product)])
+    assert context.groebner() == fresh.groebner()
