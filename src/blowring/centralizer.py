@@ -1,15 +1,16 @@
 """Rank-1 slice calculations: commutants, hypersurface models, implicitization.
 
-The two Kostant slices are explicit 2x2 matrix families; commutant solving is
-exact linear algebra over the fraction field of the parameter ring, verified
-by substitution. The four models carry their diagonalization parametrizations and
-involutions, and their identifications with the blow-up algebras are checked
-by kernel computation plus two-sided bounded subalgebra containment.
+The two Kostant slices are explicit 2x2 matrix families with M21 = 1, so their
+commutants are the free modules on I and M (the rank-1 regular-centralizer
+lemma), verified by substitution. The four models carry their diagonalization
+parametrizations and involutions, and their identifications with the blow-up
+algebras are checked by kernel computation plus two-sided bounded subalgebra
+containment.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .actions import GroupAction, Substitution, _symmetrized_candidates, invariant_generators
@@ -47,10 +48,6 @@ class ParametricMatrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("ParametricMatrix is immutable")
-
-    @classmethod
-    def parse(cls, rows: Sequence[Sequence[str]]) -> "ParametricMatrix":
-        return cls([[parse_poly(e) for e in row] for row in rows])
 
     def __getitem__(self, idx):
         return self.entries[idx[0]][idx[1]]
@@ -113,175 +110,62 @@ def kostant_slice(flavor: str) -> ParametricMatrix:
     raise CentralizerError(f"unknown slice flavor {flavor!r} (want 'group' or 'lie')")
 
 
-# -- commutant solving ------------------------------------------------------------
+# -- commutants ------------------------------------------------------------------
 
 
 def commutant_basis(M: ParametricMatrix, constraint: str = "none") -> list[ParametricMatrix]:
-    """A parameter-ring basis of the solutions of [X, M] = 0.
+    """A parameter-ring basis of the matrices X with [X, M] = 0.
 
-    Solves the linear system in the unknown entries over the fraction field,
-    clears denominators and content, and verifies every basis matrix by exact
-    substitution. A rank drop beyond the generic pattern raises instead of
-    guessing.
+    When M21 = 1, [X, M] = 0 forces x12 = M12*x21 and x22 = x11 + (M22 - M11)*x21,
+    so X = x11*I + x21*(M - M11*I): the commutant is free on I and M (Kostant's
+    regular-centralizer lemma in rank 1), and its traceless part is free on
+    2M - tr(M)*I. Each basis matrix is verified by exact substitution.
     """
     if constraint not in ("none", "traceless"):
         raise CentralizerError(f"unknown constraint {constraint!r}")
-    unknowns = ["x11", "x12", "x21"] if constraint == "traceless" else ["x11", "x12", "x21", "x22"]
-
-    def as_matrix(values: Sequence[LaurentPoly]) -> ParametricMatrix:
-        if constraint == "traceless":
-            x11, x12, x21 = values
-            return ParametricMatrix([[x11, x12], [x21, -x11]])
-        x11, x12, x21, x22 = values
-        return ParametricMatrix([[x11, x12], [x21, x22]])
-
-    gen = as_matrix([LaurentPoly.var(u) for u in unknowns])
-    comm = gen.commutator(M)
-    rows = []
-    for r in range(2):
-        for c in range(2):
-            entry = comm.entries[r][c]
-            rows.append([_coefficient_of(entry, u) for u in unknowns])
-    null = _nullspace(rows, len(unknowns))
-    basis = []
-    for vec in null:
-        cleared = _clear_vector(vec)
-        mat = as_matrix(cleared)
-        if not mat.commutator(M).is_zero():
-            raise CentralizerError("candidate solution failed exact verification")
-        basis.append(mat)
-    expected = 2 if constraint == "none" else 1
-    if len(basis) != expected:
-        raise CentralizerError(
-            f"solution module rank {len(basis)} differs from the generic pattern {expected}"
-        )
+    if M[1, 0] != 1:
+        raise CentralizerError(f"the regular-centralizer lemma needs M21 = 1, got {M[1, 0]}")
+    if constraint == "none":
+        basis = [IDENTITY2, M]
+    else:
+        basis = [M * 2 - IDENTITY2 * (M[0, 0] + M[1, 1])]
+    if not all(X.commutator(M).is_zero() for X in basis):
+        raise CentralizerError("a basis matrix failed exact verification")
     return basis
 
 
-def _coefficient_of(poly: LaurentPoly, unknown: str) -> LaurentPoly:
-    """Coefficient of a linear unknown; verifies linearity in the unknowns."""
-    if unknown not in poly.vars:
-        return LaurentPoly.zero()
-    i = poly.vars.index(unknown)
-    unknown_idx = [k for k, v in enumerate(poly.vars) if v.startswith("x") and v[1:].isdigit()]
-    terms = {}
-    for exps, coeff in poly.terms.items():
-        if exps[i] == 0:
-            continue
-        if exps[i] != 1 or any(exps[k] for k in unknown_idx if k != i):
-            raise CentralizerError("commutator is not linear in the unknowns")
-        key = tuple(0 if k == i else e for k, e in enumerate(exps))
-        terms[key] = coeff
-    return LaurentPoly(poly.vars, terms)
-
-
-def _nullspace(rows: list[list[LaurentPoly]], width: int) -> list[list[RingFraction]]:
-    """Exact nullspace basis over the fraction field of the parameter ring."""
-    reduced = _rref([[RingFraction.of(e) for e in row] for row in rows])
-    # a reduced row's first nonzero entry is its pivot
-    pivots = [(r, next(c for c, e in enumerate(r) if not e.is_zero())) for r in reduced]
-    pivot_cols = {c for _, c in pivots}
-    basis = []
-    one = RingFraction.of(LaurentPoly.const(1))
-    zero = RingFraction.of(LaurentPoly.zero())
-    for free in range(width):
-        if free in pivot_cols:
-            continue
-        vec = [zero] * width
-        vec[free] = one
-        for prow, pcol in pivots:
-            vec[pcol] = -prow[free]
-        basis.append(vec)
-    return basis
-
-
-def _clear_vector(vec: Sequence[RingFraction]) -> list[LaurentPoly]:
-    """Clear denominators and overall content from a fraction vector."""
-    from .groebner import laurent_exact_divide
-
-    den = LaurentPoly.const(1)
-    seen = set()
-    for f in vec:
-        key = f.den._canonical_items()
-        if key not in seen:
-            seen.add(key)
-            den = den * f.den
-    polys = []
-    for f in vec:
-        q = laurent_exact_divide(f.num * den, f.den)
-        if q is None:
-            raise CentralizerError("denominator clearing failed")
-        polys.append(q)
-    # the distinct-denominator product may overshoot; strip common factors
-    for _ in range(8):
-        stripped = False
-        for f in vec:
-            if f.den.is_monomial():
-                continue
-            quots = [laurent_exact_divide(p, f.den) if p.terms else p for p in polys]
-            if all(q is not None for q in quots):
-                polys = quots
-                stripped = True
-        if not stripped:
-            break
-    tau = LaurentPoly.var("_tau")
-    packed = LaurentPoly.zero()
-    for k, p in enumerate(polys):
-        packed = packed + p * tau**k
-    _, prim = packed.scaled_primitive()
-    out = []
-    for k in range(len(polys)):
-        terms = {}
-        ti = prim.vars.index("_tau")
-        for exps, coeff in prim.terms.items():
-            if exps[ti] == k:
-                terms[tuple(0 if idx == ti else e for idx, e in enumerate(exps))] = coeff
-        out.append(LaurentPoly(prim.vars, terms).with_vars([v for v in prim.vars if v != "_tau"])
-                   if terms else LaurentPoly.zero())
-    return out
-
-
-def same_span(
-    basis_a: Sequence[ParametricMatrix], basis_b: Sequence[ParametricMatrix]
+def is_commutant_basis(
+    family: Sequence[ParametricMatrix], M: ParametricMatrix, constraint: str = "none"
 ) -> bool:
-    """Equality of solution modules over the fraction field (RREF comparison)."""
-    ra = _rref([_vectorize(m) for m in basis_a])
-    rb = _rref([_vectorize(m) for m in basis_b])
-    if len(ra) != len(rb):
+    """Whether ``family`` is a parameter-ring basis of the commutant of M (M21 = 1).
+
+    Each member must equal c*I + b*M with b = X21 and c = X11 - b*M11, and be
+    traceless under the traceless constraint. The change of basis from
+    ``commutant_basis`` must have a nonzero constant determinant: (c, b) rows
+    against [I, M], or b/2 against [2M - tr(M)*I]. If M21 != 1, a member can
+    equal c*I + b*M only with b = 0, so the answer is False.
+    """
+    coords = []
+    for X in family:
+        b = X[1, 0]
+        c = X[0, 0] - b * M[0, 0]
+        if X != IDENTITY2 * c + M * b:
+            return False
+        if constraint == "traceless" and not (X[0, 0] + X[1, 1]).is_zero():
+            return False
+        coords.append((c, b))
+    if constraint == "traceless" and len(coords) == 1:
+        det = coords[0][1]
+    elif constraint == "none" and len(coords) == 2:
+        (c1, b1), (c2, b2) = coords
+        det = c1 * b2 - c2 * b1
+    else:
         return False
-    return all(
-        all(x == y for x, y in zip(rowa, rowb)) for rowa, rowb in zip(ra, rb)
-    )
-
-
-def _vectorize(m: ParametricMatrix) -> list[RingFraction]:
-    return [RingFraction.of(m.entries[r][c]) for r in range(2) for c in range(2)]
-
-
-def _rref(rows: list[list[RingFraction]]) -> list[list[RingFraction]]:
-    m = [list(r) for r in rows]
-    lead = 0
-    out: list[list[RingFraction]] = []
-    width = len(m[0]) if m else 0
-    for col in range(width):
-        pivot = next((r for r in range(lead, len(m)) if not m[r][col].is_zero()), None)
-        if pivot is None:
-            continue
-        m[lead], m[pivot] = m[pivot], m[lead]
-        inv = m[lead][col].inverse()
-        m[lead] = [e * inv for e in m[lead]]
-        for r in range(len(m)):
-            if r != lead and not m[r][col].is_zero():
-                f = m[r][col]
-                m[r] = [e - f * p for e, p in zip(m[r], m[lead])]
-        lead += 1
-        if lead == len(m):
-            break
-    return m[:lead]
+    return not det.is_zero() and not det.support_vars()
 
 
 def closed_form_commutant_family(slice_flavor: str, constraint: str) -> list[ParametricMatrix]:
-    """The closed-form solution families, the comparison oracles for the solver."""
+    """The closed-form solution families, the comparison oracles for the lemma."""
     a = LaurentPoly.var("a")
     d = LaurentPoly.var("delta")
     i = LaurentPoly.const(I)
@@ -301,17 +185,15 @@ def closed_form_commutant_family(slice_flavor: str, constraint: str) -> list[Par
     raise CentralizerError((slice_flavor, constraint))
 
 
-def general_commutant_element(slice_flavor: str) -> ParametricMatrix:
-    """The general commutant element whose det = 1 carves out the model relation."""
+def general_commutant_element(slice_flavor: str, M: ParametricMatrix) -> ParametricMatrix:
+    """The general commutant element of the slice M, in the lemma's form c*I + b*M,
+    whose det = 1 carves out the model relation."""
     if slice_flavor == "group":
-        a, b, c = LaurentPoly.gens("a b c")
-        i = LaurentPoly.const(I)
-        return ParametricMatrix(
-            [[i * ((1 - a) * c + b), i * (2 - a) * c], [-i * c, i * (b - c)]]
-        )
+        b, c = LaurentPoly.gens("b c")
+        return (IDENTITY2 * b - M * c) * LaurentPoly.const(I)
     if slice_flavor == "lie":
-        d, xi, eta = LaurentPoly.gens("delta xi eta")
-        return ParametricMatrix([[xi, d * eta], [eta, xi]])
+        xi, eta = LaurentPoly.gens("xi eta")
+        return IDENTITY2 * xi + M * eta
     raise CentralizerError(slice_flavor)
 
 
@@ -341,19 +223,6 @@ class SliceModel:
     def coordinate_ring(self) -> PresentedRing:
         rels = [self.relation] if self.relation is not None else []
         return PresentedRing((), self.coords, rels)
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "coords": list(self.coords),
-            "relation": self.relation_str,
-            "parametrization": {c: str(f) for c, f in self.parametrization.images.items()},
-            "involutions": {
-                name: {v: str(LaurentPoly.monomial(c, m)) for v, (c, m) in sub.images.items()}
-                for name, sub in self.involutions.items()
-            },
-            "blowup_flavor": self.blowup_flavor,
-        }
 
     def __repr__(self):
         rel = self.relation_str or "0"
@@ -505,18 +374,6 @@ class MatchReport:
             and all(self.image_members.values())
             and not self.failed_invariants
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "flavor": self.flavor,
-            "images_invariant": self.images_invariant,
-            "image_members": dict(self.image_members),
-            "certificates": dict(self.certificates),
-            "failed_invariants": list(self.failed_invariants),
-            "passed": self.passed,
-        }
-
 
 MATCH_BOX_HEIGHT = 4  # the exponent-height box of blowup_match, named in its verify records
 

@@ -60,8 +60,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("suite", choices=SUITES)
     v.add_argument(
         "--corrupt",
-        help="test hook: perturb one relation coefficient (e.g. kring, homology, "
-        "centralizer:S, blowup:GG); the suite must then fail",
+        help="test hook: perturb one relation or slice coefficient (e.g. kring, homology, "
+        "centralizer:S, centralizer:slice, blowup:GG); the suite must then fail",
     )
 
     c = sub.add_parser("compute", help="run one computation", parents=[common])

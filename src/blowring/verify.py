@@ -10,10 +10,10 @@ and is charged to no check.
 each flavor once, whichever suites ask for it. The subalgebra oracles hang off
 the blow-up's ring, which builds each of them once too: the ``S <-> GG``
 identification and the K-ring share one. The builder lives for one
-``run_suite`` call. An optional corruption target perturbs a single relation
-coefficient so the exit-code contract can be exercised end to end; a corrupted
-blow-up is a new object made with ``dataclasses.replace``, so no other suite
-sees it. Corrupted runs must fail.
+``run_suite`` call. An optional corruption target perturbs a single
+coefficient of a relation or a slice so the exit-code contract can be
+exercised end to end; a corrupted blow-up is a new object made with
+``dataclasses.replace``, so no other suite sees it. Corrupted runs must fail.
 """
 
 from __future__ import annotations
@@ -49,12 +49,13 @@ from .scalars import gauss
 
 SUITES = ("all", "blowup", "centralizer", "kring", "homology", "heisenberg", "steinberg")
 
-# corruption target -> the suite whose relation it perturbs
+# corruption target -> the suite whose relation or slice it perturbs
 CORRUPTION_TARGETS = {
     "kring": "kring",
     "homology": "homology",
     "centralizer:S": "centralizer",
     "centralizer:S-prime": "centralizer",
+    "centralizer:slice": "centralizer",
     **{f"blowup:{flavor}": "blowup" for flavor in FLAVORS},
 }
 
@@ -124,22 +125,23 @@ def suite_blowup(cfg: Config, corrupt: str | None, blowup: Callable[[str], Blowu
 
 def suite_centralizer(cfg: Config, corrupt: str | None, blowup: Callable[[str], BlowupAlgebra]) -> Report:
     report = Report("centralizer", cfg.timing)
-    for flavor in ("group", "lie"):
-        M = cz.kostant_slice(flavor)
+    slices = {flavor: cz.kostant_slice(flavor) for flavor in ("group", "lie")}
+    if corrupt == "centralizer:slice":
+        slices = {flavor: M + cz.ParametricMatrix([[0, 1], [0, 0]]) for flavor, M in slices.items()}
+    for flavor, M in slices.items():
         for constraint in ("none", "traceless"):
 
             def commutant():
                 basis = cz.commutant_basis(M, constraint)
                 family = cz.closed_form_commutant_family(flavor, constraint)
-                commute = all(b.commutator(M).is_zero() for b in basis)
-                return commute and cz.same_span(basis, family), str(basis)
+                return cz.is_commutant_basis(family, M, constraint), str(basis)
 
             report.check(
                 f"commutant {flavor}/{constraint}: solves [X,M]=0 and spans the closed-form family", commutant
             )
 
     def det_is(flavor, want):
-        det = cz.general_commutant_element(flavor).det()
+        det = cz.general_commutant_element(flavor, slices[flavor]).det()
         return det == parse_poly(want), str(det)
 
     report.check(

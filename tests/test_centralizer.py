@@ -4,6 +4,7 @@ import pytest
 
 from blowring.centralizer import (
     MODEL_NAMES,
+    IDENTITY2,
     CentralizerError,
     ParametricMatrix,
     blowup_match,
@@ -16,7 +17,7 @@ from blowring.centralizer import (
     model,
     model_kernel,
     closed_form_commutant_family,
-    same_span,
+    is_commutant_basis,
     verify_parametrization,
 )
 from blowring.fractions import RingFraction, RingMap
@@ -53,7 +54,8 @@ class TestCommutants:
         basis = commutant_basis(M, constraint)
         for b in basis:
             assert b.commutator(M).is_zero()
-        assert same_span(basis, closed_form_commutant_family(flavor, constraint))
+        assert is_commutant_basis(basis, M, constraint)
+        assert is_commutant_basis(closed_form_commutant_family(flavor, constraint), M, constraint)
 
     def test_lie_none_is_identity_and_slice(self):
         basis = commutant_basis(kostant_slice("lie"), "none")
@@ -62,22 +64,52 @@ class TestCommutants:
         assert kostant_slice("lie") in basis
 
     def test_rank_drop_reported(self):
-        # the identity matrix commutes with everything: rank pattern differs
+        # the identity matrix commutes with everything; its M21 is 0, so the lemma does not apply
         with pytest.raises(CentralizerError):
             commutant_basis(ParametricMatrix([[1, 0], [0, 1]]), "none")
 
+    def test_non_unit_change_of_basis_rejected(self):
+        # {2a*I, M} spans the commutant over the fraction field, but 2a is no unit of k[a]
+        M = kostant_slice("group")
+        a = LaurentPoly.var("a")
+        assert not is_commutant_basis([ParametricMatrix([[a * 2, 0], [0, a * 2]]), M], M, "none")
+        assert is_commutant_basis([ParametricMatrix([[2, 0], [0, 2]]), M], M, "none")
+
+    def test_traceless_generator_scaled_by_a_parameter_rejected(self):
+        M = kostant_slice("group")
+        a = LaurentPoly.var("a")
+        (N,) = commutant_basis(M, "traceless")
+        assert str(N) == "[a - 2, 2*a - 4; 2, -a + 2]"
+        assert not is_commutant_basis([N * a], M, "traceless")
+        assert is_commutant_basis([N * -3], M, "traceless")
+
+    def test_member_outside_the_commutant_rejected(self):
+        M = kostant_slice("lie")
+        assert not is_commutant_basis([IDENTITY2, ParametricMatrix([[0, 1], [1, 0]])], M, "none")
+        # M + I commutes with M, with a unit coefficient on M, but is not traceless
+        assert not is_commutant_basis([M + IDENTITY2], M, "traceless")
+
     def test_group_determinant_carves_relation(self):
-        X = general_commutant_element("group")
+        X = general_commutant_element("group", kostant_slice("group"))
         assert X.det() == parse_poly("a*b*c - b^2 - c^2")
 
     def test_lie_determinant(self):
-        X = general_commutant_element("lie")
+        X = general_commutant_element("lie", kostant_slice("lie"))
         assert X.det() == parse_poly("xi^2 - delta*eta^2")
+
+    def test_general_elements_keep_their_entries(self):
+        # built from the slice, the elements equal the hand-written matrices they replace
+        a, b, c, d, xi, eta = LaurentPoly.gens("a b c delta xi eta")
+        i = LaurentPoly.const(gauss(0, 1))
+        group = ParametricMatrix([[i * ((1 - a) * c + b), i * (2 - a) * c], [-i * c, i * (b - c)]])
+        assert general_commutant_element("group", kostant_slice("group")) == group
+        lie = ParametricMatrix([[xi, d * eta], [eta, xi]])
+        assert general_commutant_element("lie", kostant_slice("lie")) == lie
 
     def test_closed_form_families_commute(self):
         for flavor in ("group", "lie"):
             M = kostant_slice(flavor)
-            X = general_commutant_element(flavor)
+            X = general_commutant_element(flavor, M)
             assert X.commutator(M).is_zero()
 
 
@@ -106,23 +138,6 @@ class TestModels:
         assert model("S'").name == "S-prime"
         with pytest.raises(CentralizerError):
             model("T")
-
-    def test_model_json_surface(self):
-        import json
-
-        data = model("S").to_dict()
-        json.dumps(data)  # serializable
-        assert data["relation"] == "a*b*c - b^2 - c^2 - 1"
-        assert data["parametrization"]["a"] == "z + z^-1"
-        assert data["involutions"]["iota"] == {"b": "-b", "c": "-c"}
-
-    def test_match_report_json_surface(self, blowups):
-        import json
-
-        report = blowup_match(model("A2-gg"), blowups["gg"], degree_bound=2)
-        data = report.to_dict()
-        json.dumps(data)
-        assert data["passed"] is True and data["flavor"] == "gg"
 
 
 class TestParametrizations:
