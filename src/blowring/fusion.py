@@ -126,20 +126,16 @@ class SweepRecord:
     detail: str
 
 
-def consistency_sweep(n_range=range(2, 7), l_range=range(1, 5), include_ambiguous=True):
-    """Check the two general recurrences against each other at q = 1.
+def consistency_sweep():
+    """Check the two general recurrences against each other at q = 1, n = 2..6, l = 1..4.
 
     Both expand the same unordered product of degree-one classes (after the
     parameter shift l -> l + n in the second rule); their q = 1 symbol
     multisets must agree. The n = 1 boundary is reported skipped-ambiguous.
     """
-    records: list[SweepRecord] = []
-    if include_ambiguous:
-        records.append(
-            SweepRecord(1, 0, "skipped-ambiguous", _general("odin", +1, n=1, l=1).note or "")
-        )
-    for n in n_range:
-        for l in l_range:
+    records = [SweepRecord(1, 0, "skipped-ambiguous", _general("odin", +1, n=1, l=1).note or "")]
+    for n in range(2, 7):
+        for l in range(1, 5):
             first = fusion_table("odin", n=n, l=l)
             second = fusion_table("dva", n=n, l=l + n)
             same_product = sorted((v.n, v.m) for v in first.lhs_factors) == sorted(

@@ -1,4 +1,4 @@
-"""Run configuration and machine-readable check reports."""
+"""Run configuration, usage errors and machine-readable check reports."""
 
 from __future__ import annotations
 
@@ -8,6 +8,10 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import get_type_hints
 
 from .groebner import DEFAULT_TERM_CAP
+
+
+class UsageError(ValueError):
+    """Malformed input: a bad argument rather than a failed check."""
 
 
 @dataclass

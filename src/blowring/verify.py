@@ -10,10 +10,13 @@ and is charged to no check.
 each flavor once, whichever suites ask for it. The subalgebra oracles hang off
 the blow-up's ring, which builds each of them once too: the ``S <-> GG``
 identification and the K-ring share one. The builder lives for one
-``run_suite`` call. An optional corruption target perturbs a single
-coefficient of a relation or a slice so the exit-code contract can be
-exercised end to end; a corrupted blow-up is a new object made with
-``dataclasses.replace``, so no other suite sees it. Corrupted runs must fail.
+``run_suite`` call.
+
+``CONTROLS`` declares the negative controls. Each names its suite and a
+perturbation of one model datum (a relation coefficient or a slice entry),
+which the suite reads through ``read(control, datum)``: perturbed in a run of
+that control, unchanged otherwise. A perturbed blow-up is a new object, so
+only its read site sees it. Controlled runs must fail.
 """
 
 from __future__ import annotations
@@ -42,39 +45,44 @@ from .homology import BMRing
 from .kring import KRing, abstract_ring, dictionary_rederivations, kring_multiply, subring_filter, v_dictionary
 from .poisson import bracket_closure_check, torus_chart
 from .poly import LaurentPoly, parse_poly
-from .reports import Config, Report
+from .reports import Config, Report, UsageError
 from .rings import PresentedRing
 from .rootdata import sl2
 from .scalars import gauss
 
 SUITES = ("all", "blowup", "centralizer", "kring", "homology", "heisenberg", "steinberg")
 
-# corruption target -> the suite whose relation or slice it perturbs
-CORRUPTION_TARGETS = {
-    "kring": "kring",
-    "homology": "homology",
-    "centralizer:S": "centralizer",
-    "centralizer:S-prime": "centralizer",
-    "centralizer:slice": "centralizer",
-    **{f"blowup:{flavor}": "blowup" for flavor in FLAVORS},
+
+def _defining_relation(B: BlowupAlgebra) -> LaurentPoly:
+    (tname,) = B.gen_names
+    return LaurentPoly.var(tname) * B.walls[0] - B.numerators[0]
+
+
+def _shift_defining_relation(B: BlowupAlgebra) -> BlowupAlgebra:
+    """B on the saturated ring of its defining relation plus one."""
+    bad = PresentedRing(B.ring.laurent_vars, B.ring.poly_vars, [_defining_relation(B) + 1])
+    return replace(B, ring=bad.saturated(B.wall_product))
+
+
+# control -> (its suite, the perturbation of the datum the suite reads under that name)
+CONTROLS: dict[str, tuple[str, Callable]] = {
+    "kring": ("kring", lambda relation: relation + 1),
+    "homology": ("homology", lambda ring: BMRing(ring.relation + 1)),
+    **{
+        f"centralizer:{name}": ("centralizer", lambda m: replace(m, relation=m.relation + 1))
+        for name in ("S", "S-prime")
+    },
+    "centralizer:slice": ("centralizer", lambda M: M + cz.ParametricMatrix([[0, 1], [0, 0]])),
+    **{f"blowup:{flavor}": ("blowup", _shift_defining_relation) for flavor in FLAVORS},
 }
 
 
-def corrupt_constant(rel: LaurentPoly) -> LaurentPoly:
-    """Shift the constant coefficient by one: a single-coefficient corruption."""
-    return rel + 1
-
-
-def suite_blowup(cfg: Config, corrupt: str | None, blowup: Callable[[str], BlowupAlgebra]) -> Report:
+def suite_blowup(cfg: Config, read: Callable, blowup: Callable[[str], BlowupAlgebra]) -> Report:
     datum = sl2()
     report = Report("blowup", cfg.timing)
     for flavor in FLAVORS:
-        B = blowup(flavor)
-        (tname,) = B.gen_names
-        rel = LaurentPoly.var(tname) * B.walls[0] - B.numerators[0]
-        if corrupt == f"blowup:{flavor}":
-            bad = PresentedRing(B.ring.laurent_vars, B.ring.poly_vars, [corrupt_constant(rel)])
-            B = replace(B, ring=bad.saturated(B.wall_product))
+        B = read(f"blowup:{flavor}", blowup(flavor))
+        rel = _defining_relation(B)
         report.check(f"{flavor}: defining relation reduces to zero", lambda: B.ring.nf(rel).is_zero())
 
         def wall_ratio():
@@ -123,11 +131,9 @@ def suite_blowup(cfg: Config, corrupt: str | None, blowup: Callable[[str], Blowu
     return report
 
 
-def suite_centralizer(cfg: Config, corrupt: str | None, blowup: Callable[[str], BlowupAlgebra]) -> Report:
+def suite_centralizer(cfg: Config, read: Callable, blowup: Callable[[str], BlowupAlgebra]) -> Report:
     report = Report("centralizer", cfg.timing)
-    slices = {flavor: cz.kostant_slice(flavor) for flavor in ("group", "lie")}
-    if corrupt == "centralizer:slice":
-        slices = {flavor: M + cz.ParametricMatrix([[0, 1], [0, 0]]) for flavor, M in slices.items()}
+    slices = {flavor: read("centralizer:slice", cz.kostant_slice(flavor)) for flavor in ("group", "lie")}
     for flavor, M in slices.items():
         for constraint in ("none", "traceless"):
 
@@ -153,9 +159,7 @@ def suite_centralizer(cfg: Config, corrupt: str | None, blowup: Callable[[str], 
         lambda: det_is("lie", "xi^2 - delta*eta^2"),
     )
     for name in cz.MODEL_NAMES:
-        m = cz.model(name)
-        if corrupt == f"centralizer:{name}" and m.relation is not None:
-            m = replace(m, relation=corrupt_constant(m.relation))
+        m = read(f"centralizer:{name}", cz.model(name))
         report.check(
             f"{name}: parametrization satisfies the relation, involutions preserve it",
             lambda: cz.verify_parametrization(m),
@@ -191,11 +195,9 @@ def suite_centralizer(cfg: Config, corrupt: str | None, blowup: Callable[[str], 
     return report
 
 
-def suite_kring(cfg: Config, corrupt: str | None, blowup: Callable[[str], BlowupAlgebra]) -> Report:
+def suite_kring(cfg: Config, read: Callable, blowup: Callable[[str], BlowupAlgebra]) -> Report:
     report = Report("kring", cfg.timing)
-    star = cz.model("S").relation
-    if corrupt == "kring":
-        star = corrupt_constant(star)
+    star = read("kring", cz.model("S").relation)
     ring = abstract_ring(star)
     a, b, c = (parse_poly(s, vars=("a", "b", "c")) for s in "abc")
 
@@ -288,12 +290,9 @@ def suite_kring(cfg: Config, corrupt: str | None, blowup: Callable[[str], Blowup
     return report
 
 
-def suite_homology(cfg: Config, corrupt: str | None, blowup: Callable[[str], BlowupAlgebra]) -> Report:
+def suite_homology(cfg: Config, read: Callable, blowup: Callable[[str], BlowupAlgebra]) -> Report:
     report = Report("homology", cfg.timing)
-    rel = None
-    if corrupt == "homology":
-        rel = corrupt_constant(parse_poly("xi^2 - delta*eta^2 - 1", vars=("delta", "xi", "eta")))
-    ring = BMRing(rel)
+    ring = read("homology", BMRing())
     bound = 3
 
     def grading():
@@ -336,7 +335,7 @@ def _random_heisenberg(rng: random.Random, datum, max_terms=3) -> HeisenbergElem
     return e
 
 
-def suite_heisenberg(cfg: Config, corrupt: str | None, blowup: Callable[[str], BlowupAlgebra]) -> Report:
+def suite_heisenberg(cfg: Config, read: Callable, blowup: Callable[[str], BlowupAlgebra]) -> Report:
     report = Report("heisenberg", cfg.timing)
     datum = sl2()
     rng = random.Random(cfg.seed)
@@ -398,7 +397,7 @@ def suite_heisenberg(cfg: Config, corrupt: str | None, blowup: Callable[[str], B
     return report
 
 
-def suite_steinberg(cfg: Config, corrupt: str | None, blowup: Callable[[str], BlowupAlgebra]) -> Report:
+def suite_steinberg(cfg: Config, read: Callable, blowup: Callable[[str], BlowupAlgebra]) -> Report:
     report = Report("steinberg", cfg.timing)
     action = GroupAction([Substitution.parse({"t": "t^-1", "z": "z^-1"})])
     z = LaurentPoly.var("z")
@@ -440,14 +439,23 @@ _SUITE_FUNCS = {
 
 
 def run_suite(name: str, cfg: Config, corrupt: str | None = None) -> Report:
+    """Run suite ``name``, or every suite for ``all``, under the control ``corrupt``."""
     if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}; expected one of {SUITES}")
+        raise UsageError(f"unknown suite {name!r}; expected one of {SUITES}")
+    if corrupt is not None and (corrupt not in CONTROLS or name not in (CONTROLS[corrupt][0], "all")):
+        raise UsageError(
+            f"corruption target {corrupt!r} is not in suite {name!r}; expected one of {sorted(CONTROLS)}"
+        )
     blowup = cache(partial(build_blowup, sl2()))
+
+    def read(control, datum):
+        return CONTROLS[control][1](datum) if control == corrupt else datum
+
     if name != "all":
-        return _SUITE_FUNCS[name](cfg, corrupt, blowup)
+        return _SUITE_FUNCS[name](cfg, read, blowup)
     combined = Report("all")
     for sub in SUITES[1:]:
-        part = _SUITE_FUNCS[sub](cfg, corrupt, blowup)
+        part = _SUITE_FUNCS[sub](cfg, read, blowup)
         for check in part.checks:
             check.name = f"{sub}: {check.name}"
         combined.extend(part)

@@ -5,11 +5,10 @@ are reduced-Gröbner equalities, and randomized property checks use fixed
 seeds so reruns are bit-identical.
 """
 
+import json
 import random
 
-import pytest
-
-from blowring.blowup import FLAVORS, membership, unit_comparison
+from blowring.blowup import FLAVORS, unit_comparison
 from blowring.centralizer import (
     MODEL_NAMES,
     blowup_match,
@@ -21,7 +20,6 @@ from blowring.centralizer import (
     model_kernel,
     closed_form_commutant_family,
     is_commutant_basis,
-    verify_parametrization,
 )
 from blowring.fractions import RingFraction
 from blowring.fusion import consistency_sweep, fusion_table
@@ -196,27 +194,77 @@ def test_criterion_11_fusion_table():
     one = fusion_table("tri", a=1, b=0, l=4)
     pair = fusion_table("tri", a=1, b=1, l=2)
     ok = str(one) == "v(5)_1" and str(pair) == "q^-2 * v(5)_2"
-    records = consistency_sweep(range(2, 7), range(1, 5))
+    records = consistency_sweep()
     ok = ok and all(r.status == "pass" for r in records if r.status != "skipped-ambiguous")
     ok = ok and any(r.status == "skipped-ambiguous" for r in records)
     ok = ok and fusion_table("odin", n=1, l=1).ambiguous
     verdict(11, "closed-formula specializations match; sweep passes; n=1 reported ambiguous", ok)
 
 
+# control -> the records its own suite fails under it, and no others
+FAILED_UNDER = {
+    "blowup:GG": [
+        "GG: defining relation reduces to zero",
+        "GG: wall-ratio generator is a member",
+        "GG: bracket closure {y + y^-1, (y - y^-1) / (z - z^-1)}",
+    ],
+    "blowup:GGv": [
+        "GGv: defining relation reduces to zero",
+        "GGv: wall-ratio generator is a member",
+        "GGv: bracket closure {z + z^-1, (t - 2 + t^-1) / (z^2 - 2 + z^-2)}",
+        "GGv: bracket closure {t + t^-1, (t - t^-1) / (z - z^-1)}",
+        "GGv: bracket closure {t + t^-1, (t - 2 + t^-1) / (z^2 - 2 + z^-2)}",
+        "GGv: bracket closure {(t - t^-1) / (z - z^-1), (t - 2 + t^-1) / (z^2 - 2 + z^-2)}",
+    ],
+    "blowup:gG": [
+        "gG: defining relation reduces to zero",
+        "gG: wall-ratio generator is a member",
+        "gG: bracket closure {1/2*y + 1/2*y^-1, 1/2*y*x^-1 - 1/2*y^-1*x^-1}",
+    ],
+    "blowup:Gg": ["Gg: defining relation reduces to zero", "Gg: wall-ratio generator is a member"],
+    "blowup:gg": ["gg: defining relation reduces to zero", "gg: wall-ratio generator is a member"],
+    **{
+        f"centralizer:{name}": [
+            f"{name}: parametrization satisfies the relation, involutions preserve it",
+            f"{name}: implicitization kernel equals the model relation",
+        ]
+        for name in ("S", "S-prime")
+    },
+    "centralizer:slice": [
+        *(
+            f"commutant {flavor}/{constraint}: solves [X,M]=0 and spans the closed-form family"
+            for flavor in ("group", "lie")
+            for constraint in ("none", "traceless")
+        ),
+        "det of general group commutant rewrites the cubic relation",
+        "det of general Lie commutant is xi^2 - delta*eta^2",
+    ],
+    "homology": ["homology relation matches the hypersurface-model kernel"],
+    "kring": [
+        "v(1)_1 * v(-1)_1 = v(0)_2 + 1",
+        "cubic product relation holds",
+        "cubic product relation regenerates the model relation",
+    ],
+}
+
+
 def test_criterion_12_negative_controls(capsys):
     from blowring.cli import EXIT_FAIL, main
-    from blowring.verify import CORRUPTION_TARGETS
+    from blowring.verify import CONTROLS
 
+    assert sorted(CONTROLS) == sorted(FAILED_UNDER)
     missed = []
-    for target in sorted(CORRUPTION_TARGETS):
-        code = main(["verify", CORRUPTION_TARGETS[target], "--corrupt", target])
-        capsys.readouterr()
-        if code != EXIT_FAIL:
-            missed.append(target)
+    for control, (suite, _) in sorted(CONTROLS.items()):
+        code = main(["verify", suite, "--corrupt", control, "--output", "json"])
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        if code != EXIT_FAIL or [c["name"] for c in checks if c["status"] == "fail"] != FAILED_UNDER[control]:
+            missed.append(control)
+    failed = sum(map(len, FAILED_UNDER.values()))
     with capsys.disabled():
         verdict(
             12,
-            f"each of the {len(CORRUPTION_TARGETS)} corruption targets makes its suite exit 1"
+            f"each of the {len(CONTROLS)} controls makes its suite exit 1 and fails exactly its pinned records"
+            f" ({failed} in all)"
             + (f"; missed: {', '.join(missed)}" if missed else ""),
             not missed,
         )

@@ -1,5 +1,4 @@
 import random
-from itertools import product
 
 import pytest
 
@@ -7,7 +6,7 @@ from blowring.actions import GroupAction, GroupCapExceeded, Substitution, invari
 from blowring.blowup import build_blowup
 from blowring.centralizer import model
 from blowring.fractions import RingFraction
-from blowring.poly import LaurentPoly, parse_poly
+from blowring.poly import LaurentPoly
 from blowring.rootdata import sl2
 
 from conftest import random_laurent

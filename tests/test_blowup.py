@@ -1,4 +1,3 @@
-import random
 from itertools import combinations
 
 import pytest
@@ -17,7 +16,6 @@ from blowring.blowup import (
 from blowring.fractions import RingFraction
 from blowring.poisson import standard_chart
 from blowring.poly import LaurentPoly, parse_poly
-from blowring.rootdata import sl2
 
 from conftest import sz_agree
 

@@ -21,7 +21,7 @@ from blowring.centralizer import (
     verify_parametrization,
 )
 from blowring.fractions import RingFraction, RingMap
-from blowring.groebner import Ideal, PolyRing
+from blowring.groebner import Ideal
 from blowring.poly import LaurentPoly, parse_poly
 from blowring.scalars import gauss
 

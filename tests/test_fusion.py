@@ -84,7 +84,7 @@ class TestGeneralRules:
 
 class TestConsistencySweep:
     def test_default_window_passes(self):
-        records = consistency_sweep(range(2, 7), range(1, 5))
+        records = consistency_sweep()
         statuses = {r.status for r in records}
         assert "fail" not in statuses
         assert "skipped-ambiguous" in statuses

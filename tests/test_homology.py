@@ -1,7 +1,7 @@
 import pytest
 
 from blowring.homology import GRADING, BMRing
-from blowring.poly import LaurentPoly, parse_poly
+from blowring.poly import parse_poly
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,6 @@
 import pytest
 
-from blowring.fractions import RingFraction, parse_fraction
+from blowring.fractions import RingFraction
 from blowring.kring import (
     KRing,
     KRingError,

@@ -154,3 +154,26 @@ def test_every_public_name_has_a_caller_in_src():
         if name not in uses and name not in exported
     }
     assert uncalled == UNCALLED_ALLOWED, f"public names no src module calls: {sorted(uncalled)}"
+
+
+TESTS = SRC.parent.parent / "tests"
+# the package's __init__ imports only to re-export
+IMPORTING_MODULES = [p for p in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")) if p.name != "__init__.py"]
+
+
+def _unused_imports(tree):
+    """Names a module imports but never reads; ``from __future__`` imports are exempt."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - read)
+
+
+@pytest.mark.parametrize("path", IMPORTING_MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_every_import_is_read(path):
+    unused = _unused_imports(ast.parse(path.read_text(), filename=path.name))
+    assert not unused, f"{path.name} imports {unused} without reading them"

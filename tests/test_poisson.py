@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 from blowring.blowup import FLAVORS, factor_wall_denominator, membership
 from blowring.fractions import RingFraction, parse_fraction
 from blowring.poisson import PoissonChart, bracket_closure_check, standard_chart, torus_chart
-from blowring.poly import LaurentPoly, parse_poly
-from blowring.rootdata import sl2
+from blowring.poly import LaurentPoly
 
 from conftest import random_laurent, sz_agree
 

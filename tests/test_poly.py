@@ -7,7 +7,7 @@ from blowring.fractions import RingFraction
 from blowring.poly import LaurentPoly, PolyParseError, format_poly, parse_poly
 from blowring.scalars import gauss
 
-from conftest import random_laurent, random_point, sz_agree
+from conftest import random_laurent, sz_agree
 
 y, z = LaurentPoly.gens("y z")
 

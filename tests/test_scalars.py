@@ -1,11 +1,10 @@
-import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blowring.scalars import GaussianRational, I, ONE, ZERO, gauss
+from blowring.scalars import I, ONE, ZERO, gauss
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 gaussians = st.builds(gauss, rationals, rationals)

@@ -3,10 +3,14 @@
 ``run_suite`` hands every suite one memoized blow-up builder, and a ring
 builds each subalgebra oracle once, so the ``S <-> GG`` identification and the
 K-ring's conversion back from the blow-up use one oracle. A corrupted GG
-blow-up is a new object, so only the blowup suite's GG records fail.
+blow-up is a new object, so only the blowup suite's GG records fail. A
+control outside the suite it is run on is an error, not a passing run.
 """
 
+import re
 from collections import Counter
+
+import pytest
 
 import blowring.kring as kring
 import blowring.verify as verify
@@ -47,3 +51,9 @@ def test_all_builds_each_blowup_and_oracle_once(monkeypatch):
         "blowup: GG: wall-ratio generator is a member",
         "blowup: GG: bracket closure {y + y^-1, (y - y^-1) / (z - z^-1)}",
     ]
+
+
+@pytest.mark.parametrize("control", ["typo", "blowup:GG", "kring"])
+def test_control_outside_the_suite_is_rejected(control):
+    with pytest.raises(ValueError, match=re.escape(repr(control))):
+        verify.run_suite("homology", Config(), corrupt=control)
