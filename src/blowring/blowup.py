@@ -221,12 +221,29 @@ def _rank1_invariant_generators(B, first_kind, second_kind) -> tuple[RingFractio
 
 @dataclass
 class MembershipResult:
+    """``wall_power`` is the power of the wall left after cancelling wall factors of the numerator."""
+
     member: bool
     certificate: LaurentPoly | None
     wall_power: int
 
     def __bool__(self):
         return self.member
+
+
+def _is_unit(p: LaurentPoly, laurent_vars: Sequence[str]) -> bool:
+    return p.is_monomial() and all(v in laurent_vars for v in p.support_vars())
+
+
+def _ring_quotient(f: LaurentPoly, g: LaurentPoly, laurent_vars: Sequence[str]) -> LaurentPoly | None:
+    """f/g if it has no negative power of a variable outside ``laurent_vars``, else None.
+
+    Those variables are not units, so such a Laurent quotient is no division in the ring.
+    """
+    q = laurent_exact_divide(f, g)
+    if q is None or any(q.min_degree_in(v) < 0 for v in q.vars if v not in laurent_vars):
+        return None
+    return q
 
 
 def factor_wall_denominator(
@@ -236,22 +253,16 @@ def factor_wall_denominator(
 
     Raises if the denominator does not divide a power of the wall product.
     """
-    lset = set(laurent_vars)
-
-    def is_unit(p: LaurentPoly) -> bool:
-        if not p.is_monomial():
-            return False
-        return all(v in lset for v in p.support_vars())
-
+    if _is_unit(wall, laurent_vars):
+        raise BlowupError(f"the wall {wall} is a unit")
     k = 0
     cur = den
-    while not is_unit(cur):
-        nxt = laurent_exact_divide(cur, wall)
-        if nxt is None:
+    while not _is_unit(cur, laurent_vars):
+        cur = _ring_quotient(cur, wall, laurent_vars)
+        if cur is None:
             raise BlowupError(
                 f"denominator {den} is not a unit times a power of the wall {wall}"
             )
-        cur = nxt
         k += 1
     return k, cur
 
@@ -267,6 +278,13 @@ def membership(frac: RingFraction, B: BlowupAlgebra) -> MembershipResult:
     num, den = B.ring.split(frac)
     k, unit = factor_wall_denominator(den, wall, B.ring.laurent_vars)
     num = num * unit.monomial_inverse()
+    # num = wall*q gives num/wall^k = q/wall^(k-1); wall*w - 1 lies in the
+    # division ideal, so q*w^(k-1) has the normal form, the certificate, of num*w^k
+    while k:
+        q = _ring_quotient(num, wall, B.ring.laurent_vars)
+        if q is None:
+            break
+        num, k = q, k - 1
     if k == 0:
         return MembershipResult(True, B.ring.nf(num), 0)
     cert = B.ring.divide(num, wall, power=k)

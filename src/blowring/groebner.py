@@ -349,54 +349,48 @@ def _reduce_basis(
 
 
 def laurent_exact_divide(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly | None:
-    """Exact quotient f/g in the Laurent ring, or None."""
+    """Exact quotient f/g in the Laurent ring, or None.
+
+    Divides by lead terms under lex order, a group order on Z^n, so negative
+    exponents need no shift. An exact quotient's exponents in each v lie in
+    [min_v f - min_v g, max_v f - max_v g]; the leads fall strictly, so this
+    box bounds the steps, and a quotient exponent outside it proves g does not divide f.
+    """
     if g.is_zero():
         raise ZeroDivisionError
     if f.is_zero():
         return LaurentPoly.zero(f.vars)
     vars = LaurentPoly.merge_vars(f, g)
-    f = f.with_vars(vars)
-    g = g.with_vars(vars)
-    shift_f = {v: -min(0, f.min_degree_in(v)) for v in vars}
-    shift_g = {v: -min(0, g.min_degree_in(v)) for v in vars}
-    fpos = (f * LaurentPoly.monomial(ONE, shift_f)).with_vars(vars)
-    gpos = (g * LaurentPoly.monomial(ONE, shift_g)).with_vars(vars)
-    ring = PolyRing(vars)
-    q, r = laurent_divmod_single(fpos, gpos, ring)
-    if not r.is_zero():
-        return None
-    back = {v: shift_g[v] - shift_f[v] for v in vars}
-    return q.with_vars(vars) * LaurentPoly.monomial(ONE, back)
-
-
-def laurent_divmod_single(f: LaurentPoly, g: LaurentPoly, ring: PolyRing):
-    order = ring.order
-    key = order.key
-    gterms = g.terms
-    glm = max(gterms, key=key)
+    p = dict(f.with_vars(vars).terms)
+    gterms = g.with_vars(vars).terms
+    fcols, gcols = list(zip(*p)), list(zip(*gterms))
+    lo = tuple(map(sub, map(min, fcols), map(min, gcols)))
+    hi = tuple(map(sub, map(max, fcols), map(max, gcols)))
+    glm = max(gterms)
     glc = gterms[glm]
-    p = dict(f.terms)
-    q: dict = {}
-    r: dict = {}
+    # the remainder's exponents, negated for a max-heap; cancelled ones linger
+    heap = [tuple(map(neg, e)) for e in p]
+    heapq.heapify(heap)
+    q: dict[Exps, GaussianRational] = {}
     while p:
-        lm = max(p, key=key)
-        lc = p[lm]
-        if all(a <= b for a, b in zip(glm, lm)):
-            shift = tuple(b - a for a, b in zip(glm, lm))
-            factor = lc / glc
-            q[shift] = q.get(shift, GaussianRational(0)) + factor
-            for ge, gc in gterms.items():
-                ke = tuple(x + s for x, s in zip(ge, shift))
-                cur = p.get(ke)
-                nv = cur - gc * factor if cur is not None else -(gc * factor)
-                if nv:
-                    p[ke] = nv
-                else:
-                    p.pop(ke, None)
-        else:
-            r[lm] = lc
-            del p[lm]
-    return LaurentPoly(ring.vars, q), LaurentPoly(ring.vars, r)
+        lm = tuple(map(neg, heapq.heappop(heap)))
+        if lm not in p:
+            continue
+        shift = tuple(map(sub, lm, glm))
+        if not (all(map(le, lo, shift)) and all(map(le, shift, hi))):
+            return None
+        factor = q[shift] = p[lm] / glc
+        for ge, gc in gterms.items():
+            ke = tuple(map(add, shift, ge))
+            cur = p.get(ke)
+            if cur is None:
+                heapq.heappush(heap, tuple(map(neg, ke)))
+                p[ke] = -(gc * factor)
+            elif nv := cur - gc * factor:
+                p[ke] = nv
+            else:
+                del p[ke]
+    return LaurentPoly(vars, q)
 
 
 # -- ideals --------------------------------------------------------------------

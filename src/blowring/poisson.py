@@ -29,45 +29,48 @@ class PoissonChart:
             if kind not in ("log", "linear"):
                 raise ChartError(f"unknown coordinate kind {kind!r} for {v!r}")
         self.kinds = dict(kinds)
-        self.base: dict[tuple[str, str], GaussianRational] = {}
+        self.pairs: list[tuple[str, str, GaussianRational]] = []  # one orientation of each
+        given: dict[tuple[str, str], GaussianRational] = {}
         for (a, b), c in base.items():
             if a not in self.kinds or b not in self.kinds:
                 raise ChartError(f"base bracket names unknown variable in {(a, b)}")
             if a == b:
                 raise ChartError("base bracket of a variable with itself")
             c = c if isinstance(c, GaussianRational) else gauss(c)
-            existing = self.base.get((a, b))
+            existing = given.get((a, b))
             if existing is not None and existing != c:
                 raise ChartError(f"conflicting base bracket for {(a, b)}")
-            self.base[(a, b)] = c
-            self.base[(b, a)] = -c
+            if existing is None:
+                self.pairs.append((a, b, c))
+            given[(a, b)] = c
+            given[(b, a)] = -c
 
-    def derive(self, f: RingFraction, var: str) -> RingFraction:
-        """The chart derivation along var (v d/dv on log, d/dv on linear)."""
-        kind = self.kinds[var]
-        if kind == "log":
-            dn = f.num.log_derivative(var) if var in f.num.vars else LaurentPoly.zero(f.num.vars)
-            dd = f.den.log_derivative(var) if var in f.den.vars else LaurentPoly.zero(f.den.vars)
-        else:
-            dn = f.num.derivative(var) if var in f.num.vars else LaurentPoly.zero(f.num.vars)
-            dd = f.den.derivative(var) if var in f.den.vars else LaurentPoly.zero(f.den.vars)
-        return RingFraction(dn * f.den - f.num * dd, f.den * f.den)
+    def _numerator(self, f: RingFraction, var: str) -> LaurentPoly:
+        """The chart derivation of f along var (v d/dv on log, d/dv on linear), times den(f)^2."""
+        d = LaurentPoly.log_derivative if self.kinds[var] == "log" else LaurentPoly.derivative
+        dn = d(f.num, var) if var in f.num.vars else LaurentPoly.zero(f.num.vars)
+        if f.is_polynomial():
+            return dn
+        dd = d(f.den, var) if var in f.den.vars else LaurentPoly.zero(f.den.vars)
+        return dn * f.den - f.num * dd
 
     def bracket(self, f: RingFraction | LaurentPoly, g: RingFraction | LaurentPoly) -> RingFraction:
         f = RingFraction.of(f)
         g = RingFraction.of(g)
-        total = RingFraction.of(LaurentPoly.zero())
-        pairs_done = set()
-        for (a, b), c in self.base.items():
-            if (b, a) in pairs_done:
-                continue
-            pairs_done.add((a, b))
-            # both products have the denominator den(f)^2 * den(g)^2, which
-            # their difference keeps rather than squares
-            part = self.derive(f, a) * self.derive(g, b) - self.derive(f, b) * self.derive(g, a)
-            if not part.is_zero():
-                total = total + part * LaurentPoly.const(c)
-        return total
+        df = {v: self._numerator(f, v) for v in self.kinds}
+        dg = {v: self._numerator(g, v) for v in self.kinds}
+        total = None
+        for a, b, c in self.pairs:
+            part = df[a] * dg[b] - df[b] * dg[a]
+            if part.terms:
+                total = part * c if total is None else total + part * c
+        if total is None:
+            return RingFraction.of(LaurentPoly.zero())
+        # every part lies over den(f)^2 * den(g)^2, formed once
+        den = (f.den * f.den) * (g.den * g.den)
+        if den.is_monomial():
+            return RingFraction(total)
+        return RingFraction(total.with_vars(LaurentPoly.merge_vars(den, total)), den)
 
     def jacobi_sum(self, f, g, h) -> RingFraction:
         f, g, h = (RingFraction.of(x) for x in (f, g, h))

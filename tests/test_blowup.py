@@ -118,6 +118,31 @@ class TestMembership:
         assert k == 2 and unit == 5 * z**-3
         with pytest.raises(BlowupError):
             factor_wall_denominator(z**2 - 2, z**2 - 1, ("z",))
+        with pytest.raises(BlowupError):  # a unit wall divides out for ever
+            factor_wall_denominator(z**2 + 1, z, ("z",))
+
+    def test_wall_in_a_non_invertible_variable(self):
+        # x is no unit, so (x^2 + 1)/x = x + x^-1 is no division in the ring:
+        # factoring must stop there rather than divide by x for ever
+        with pytest.raises(BlowupError):
+            factor_wall_denominator(x**2 + 1, x, ())
+        assert factor_wall_denominator(3 * x**2, x, ()) == (2, 3)
+
+    @pytest.mark.parametrize("flavor", FLAVORS)
+    @pytest.mark.parametrize("j, k", [(0, 1), (1, 2), (2, 3), (2, 2)])
+    def test_wall_factors_cancel_to_the_same_certificate(self, blowups, flavor, j, k):
+        B = blowups[flavor]
+        wall = B.wall_product
+        for g in (B.numerators[0], LaurentPoly.const(1)):
+            res = membership(RingFraction(wall**j * g, wall**k), B)
+            want = B.ring.divide(wall**j * g, wall, power=k)
+            assert res.wall_power == k - j
+            assert res.member is (want is not None)
+            assert str(res.certificate) == str(want)
+
+    def test_wall_power_counts_after_cancelling(self, blowups):
+        res = membership(RingFraction((y**2 - 1) * (z**2 - 1), (z**2 - 1) ** 2), blowups["GG"])
+        assert res.member and res.wall_power == 1 and str(res.certificate) == "T"
 
     def test_invalid_denominator_rejected(self, blowups):
         with pytest.raises(BlowupError):

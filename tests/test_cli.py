@@ -73,6 +73,13 @@ class TestCompute:
         assert code == EXIT_FAIL
         assert "member=False" in out
 
+    @pytest.mark.parametrize("flavor, fraction", [("gg", "u/x^2"), ("gG", "(y-y^-1)/x^3")])
+    def test_membership_over_a_wall_that_is_no_unit(self, capsys, flavor, fraction):
+        # the gg and gG wall is x, which no cancellation may divide out of u or y - y^-1
+        code, out, err = run_cli(capsys, "compute", "membership", "--flavor", flavor, fraction, "--output", "json")
+        assert code == EXIT_FAIL and not err
+        assert out == f'{{\n  "flavor": "{flavor}",\n  "member": false,\n  "certificate": null\n}}\n'
+
     def test_bracket(self, capsys):
         code, out, _ = run_cli(
             capsys, "compute", "bracket", "--flavor", "GG", "y + y^-1", "z + z^-1"

@@ -436,6 +436,42 @@ class TestDivisionReference:
 # -- an independent engine: sympy ------------------------------------------------
 
 
+laurent_exponents = st.integers(-2, 2)
+
+
+class TestLaurentExactDivide:
+    def test_quotients_with_negative_exponents(self):
+        # both were None while the division shifted to non-negative exponents
+        y, z = LaurentPoly.gens("y z")
+        assert laurent_exact_divide(y, z) == y * z**-1
+        assert laurent_exact_divide(z**2 * y + 1, z) == z * y + z**-1
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_product_divides_back(self, data):
+        f = data.draw(polys(data.draw(st.integers(1, 3)), 4, laurent_exponents))
+        g = data.draw(polys(data.draw(st.integers(1, 3)), 3, laurent_exponents).filter(bool))
+        assert laurent_exact_divide(f * g, g) == f
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_a_quotient_is_exact(self, data):
+        f = data.draw(polys(data.draw(st.integers(1, 3)), 4, laurent_exponents))
+        g = data.draw(polys(data.draw(st.integers(1, 3)), 2, laurent_exponents).filter(bool))
+        if data.draw(st.booleans()):
+            f = f * g
+        q = laurent_exact_divide(f, g)
+        assert q is None or q * g == f
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_no_quotient_off_a_multiple(self, data):
+        """A g of two or more terms is no unit, so it does not divide 1, nor f*g + 1."""
+        f = data.draw(polys(data.draw(st.integers(1, 3)), 4, laurent_exponents))
+        g = data.draw(polys(data.draw(st.integers(1, 3)), 3, laurent_exponents).filter(lambda g: len(g.terms) > 1))
+        assert laurent_exact_divide(f * g + 1, g) is None
+
+
 def _sympy_polys(polys, vars):
     from sympy import Poly, symbols
     from sympy.polys.domains import QQ, QQ_I

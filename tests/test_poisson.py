@@ -132,6 +132,63 @@ class TestClosure:
         assert data["passed"] is True
 
 
+# Brackets on each flavor's standard chart as printed, pinned with the variable
+# lists of numerator and denominator, which decide the printed order. Operand
+# "i" is the i-th invariant generator, "0+n" and "0*n" the sum and the product
+# of the first and the last. GGv "2", "3" brackets two fractions over different
+# denominators; each "i", "i" row is zero.
+PRINTED_BRACKETS = [
+    ('gg', '0', '1', '2', ('x', 'u'), ('x', 'u')),
+    ('gg', '0+1', '1', '2', ('x', 'u'), ('x', 'u')),
+    ('gg', '0*1', '1', '2*x^-1*u', ('x', 'u'), ('x', 'u')),
+    ('gg', '1', '1', '0', (), ()),
+    ('Gg', '0', '1', '(z^2 - 2 + z^-2) / (z^2 - 2 + z^-2)', ('z', 'x'), ('z',)),
+    ('Gg', '0+1', '1', '(z^4 - 4*z^2 + 6 - 4*z^-2 + z^-4) / (z^4 - 4*z^2 + 6 - 4*z^-2 + z^-4)', ('z', 'x'), ('z',)),
+    ('Gg', '0*1', '1', '(z^3*x - 3*z*x + 3*z^-1*x - z^-3*x) / (z^4 - 4*z^2 + 6 - 4*z^-2 + z^-4)', ('z', 'x'), ('z',)),
+    ('Gg', '1', '1', '0', (), ()),
+    ('gG', '0', '1', 'x*y - x*y^-1', ('x', 'y'), ('x', 'y')),
+    ('gG', '0', '2', 'y + y^-1', ('x', 'y'), ('x', 'y')),
+    ('gG', '1', '2', '1/4*y^2*x^-2 - 1/2*x^-2 + 1/4*y^-2*x^-2', ('y', 'x'), ('y', 'x')),
+    ('gG', '0+2', '1', 'x*y - x*y^-1 - 1/4*x^-2*y^2 + 1/2*x^-2 - 1/4*x^-2*y^-2', ('x', 'y'), ('x', 'y')),
+    ('gG', '0*2', '1', '1/4*y^2 - 1/2 + 1/4*y^-2', ('x', 'y'), ('x', 'y')),
+    ('gG', '2', '2', '0', (), ()),
+    ('GG', '0', '1', '-y*z + y*z^-1 + y^-1*z - y^-1*z^-1', ('y', 'z'), ('y', 'z')),
+    ('GG', '0', '2', '(y^2*z + y^2*z^-1 - 2*z - 2*z^-1 + y^-2*z + y^-2*z^-1) / (z^2 - 2 + z^-2)', ('y', 'z'), ('y', 'z')),
+    ('GG', '1', '2', '(z^2*y + z^2*y^-1 - 2*y - 2*y^-1 + z^-2*y + z^-2*y^-1) / (z^2 - 2 + z^-2)', ('z', 'y'), ('z',)),
+    ('GG', '0+2', '1', '(-y*z^3 - y*z^2 + 3*y*z + y^-1*z^3 + 2*y - y^-1*z^2 - 3*y*z^-1 - 3*y^-1*z - y*z^-2 + 2*y^-1 + y*z^-3 + 3*y^-1*z^-1 - y^-1*z^-2 - y^-1*z^-3) / (z^2 - 2 + z^-2)', ('y', 'z'), ('y', 'z')),
+    ('GG', '0*2', '1', '(-2*y^2*z^2 + 4*y^2 - 2*y^2*z^-2 - 2*y^-2*z^2 + 4*y^-2 - 2*y^-2*z^-2) / (z^2 - 2 + z^-2)', ('y', 'z'), ('y', 'z')),
+    ('GG', '2', '2', '0', (), ()),
+    ('GGv', '0', '1', 'z*t - z*t^-1 - z^-1*t + z^-1*t^-1', ('z', 't'), ('z', 't')),
+    ('GGv', '0', '2', '(z^2*t + z^2*t^-1 - 2*t - 2*t^-1 + z^-2*t + z^-2*t^-1) / (z^2 - 2 + z^-2)', ('z', 't'), ('z',)),
+    ('GGv', '0', '3', '(z^3*t - z^3*t^-1 - 3*z*t + 3*z*t^-1 + 3*z^-1*t - 3*z^-1*t^-1 - z^-3*t + z^-3*t^-1) / (z^4 - 4*z^2 + 6 - 4*z^-2 + z^-4)', ('z', 't'), ('z',)),
+    ('GGv', '1', '2', '(t^2*z + t^2*z^-1 - 2*z - 2*z^-1 + t^-2*z + t^-2*z^-1) / (z^2 - 2 + z^-2)', ('t', 'z'), ('t', 'z')),
+    ('GGv', '1', '3', '(2*t^2*z^2 - 4*t*z^2 + 4*t^-1*z^2 - 2*t^2*z^-2 - 2*t^-2*z^2 + 4*t*z^-2 - 4*t^-1*z^-2 + 2*t^-2*z^-2) / (z^4 - 4*z^2 + 6 - 4*z^-2 + z^-4)', ('t', 'z'), ('t', 'z')),
+    ('GGv', '2', '3', '(z^3*t^2 - 4*z^3*t + 6*z^3 - z*t^2 - 4*z^3*t^-1 + 4*z*t + z^3*t^-2 - 6*z - z^-1*t^2 + 4*z*t^-1 + 4*z^-1*t - z*t^-2 - 6*z^-1 + z^-3*t^2 + 4*z^-1*t^-1 - 4*z^-3*t - z^-1*t^-2 + 6*z^-3 - 4*z^-3*t^-1 + z^-3*t^-2) / (z^6 - 6*z^4 + 15*z^2 - 20 + 15*z^-2 - 6*z^-4 + z^-6)', ('z', 't'), ('z',)),
+    ('GGv', '0+3', '1', '(z^5*t - z^5*t^-1 - 5*z^3*t - 2*z^2*t^2 + 4*z^2*t + 5*z^3*t^-1 + 10*z*t - 4*z^2*t^-1 + 2*z^2*t^-2 - 10*z*t^-1 - 10*z^-1*t + 2*z^-2*t^2 - 4*z^-2*t + 10*z^-1*t^-1 + 5*z^-3*t + 4*z^-2*t^-1 - 2*z^-2*t^-2 - 5*z^-3*t^-1 - z^-5*t + z^-5*t^-1) / (z^4 - 4*z^2 + 6 - 4*z^-2 + z^-4)', ('z', 't'), ('z', 't')),
+    ('GGv', '0*3', '1', '(-z^3*t^2 + 2*z^3*t - 5*z*t^2 - 2*z^3*t^-1 + 10*z*t + z^3*t^-2 + 5*z^-1*t^2 - 10*z*t^-1 - 10*z^-1*t + 5*z*t^-2 + z^-3*t^2 + 10*z^-1*t^-1 - 2*z^-3*t - 5*z^-1*t^-2 + 2*z^-3*t^-1 - z^-3*t^-2) / (z^4 - 4*z^2 + 6 - 4*z^-2 + z^-4)', ('z', 't'), ('z', 't')),
+    ('GGv', '3', '3', '0', (), ()),
+]
+
+
+def _operands(gens):
+    n = len(gens) - 1
+    ops = {str(i): gen for i, gen in enumerate(gens)}
+    ops[f"0+{n}"], ops[f"0*{n}"] = gens[0] + gens[n], gens[0] * gens[n]
+    return ops
+
+
+@pytest.mark.parametrize(
+    "flavor, f, g, printed, num_vars, den_vars",
+    PRINTED_BRACKETS,
+    ids=[f"{row[0]}:{{{row[1]},{row[2]}}}" for row in PRINTED_BRACKETS],
+)
+def test_printed_bracket_is_pinned(blowups, flavor, f, g, printed, num_vars, den_vars):
+    B = blowups[flavor]
+    ops = _operands(list(B.invariant_gens))
+    br = standard_chart(B).bracket(ops[f], ops[g])
+    assert (str(br), br.num.vars, br.den.vars) == (printed, num_vars, den_vars)
+
+
 @st.composite
 def chart_elements(draw, B):
     """A Weyl-invariant generator of B, or a small fraction in the chart coordinates."""
