@@ -118,17 +118,6 @@ class RingFraction:
     def __hash__(self):
         raise TypeError("RingFraction is unhashable (no canonical form without gcd)")
 
-    def substitute_monomials(self, images) -> "RingFraction":
-        return RingFraction(
-            self.num.substitute_monomials(images), self.den.substitute_monomials(images)
-        )
-
-    def evaluate(self, point: Mapping[str, GaussianRational]) -> GaussianRational:
-        d = self.den.evaluate(point)
-        if not d:
-            raise ZeroDivisionError("denominator vanishes at the point")
-        return self.num.evaluate(point) / d
-
     def __str__(self) -> str:
         if self.is_polynomial():
             return format_poly(self.as_poly())

@@ -220,10 +220,15 @@ def _spoly(f, flm, flc, g, glm, glc, order) -> LaurentPoly:
 def buchberger(gens: Iterable[LaurentPoly], ring: PolyRing) -> list[LaurentPoly]:
     """Reduced Gröbner basis of the ideal generated by ``gens``.
 
+    Every element enters the basis through one step: it is reduced by the
+    basis so far, a zero remainder is dropped, and a nonzero one is made
+    monic and appended. So no appended lead is divisible by an earlier one.
+    The inputs enter first, in ascending order of their leads.
+
     Sugar selection strategy (Giovini, Mora, Niesi, Robbiano and Traverso,
     "One sugar cube, please", ISSAC 1991): every element carries a sugar, the
     total degree it would have if the input were homogenized. An input's
-    sugar is its largest term degree; a pair's is
+    sugar is the largest term degree of its remainder; a pair's is
     ``max(sugar_i - deg lm_i, sugar_j - deg lm_j) + deg lcm``, and the element
     it adds inherits it. Pairs are popped by ``(sugar, lcm order, i, j)``.
     Buchberger's coprimality and chain criteria prune pairs. Deterministic:
@@ -232,16 +237,9 @@ def buchberger(gens: Iterable[LaurentPoly], ring: PolyRing) -> list[LaurentPoly]
     """
     order = ring.order
     key = order.key
-
     basis: list[LaurentPoly] = []
-    for g in gens:
-        g = ring.align(g)
-        if g.terms:
-            basis.append(g * leading(g, order)[1].inverse())
-    basis = _interreduce(basis, ring)
-    leads = _lead_table(basis, order)
-    sugars = [max(map(sum, g.terms)) for g in basis]
-
+    leads: list[LeadEntry] = []
+    sugars: list[int] = []
     heap: list = []
     pairset: set[tuple[int, int]] = set()
 
@@ -251,9 +249,23 @@ def buchberger(gens: Iterable[LaurentPoly], ring: PolyRing) -> list[LaurentPoly]
         heapq.heappush(heap, (sugar, key(lcm), i, j, lcm))
         pairset.add((i, j))
 
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            push_pair(i, j)
+    def insert(f: LaurentPoly, sugar: int | None):
+        r = normal_form(f, basis, ring, leads)
+        if not r.terms:
+            return
+        lm, lc = leading(r, order)
+        r = r * lc.inverse()
+        basis.append(r)
+        leads.append((r.terms, lm, ONE, _support(lm)))
+        sugars.append(max(map(sum, r.terms)) if sugar is None else sugar)
+        k = len(basis) - 1
+        for m in range(k):
+            push_pair(m, k)
+        check_terms(sum(len(b.terms) for b in basis), "basis")
+
+    inputs = [g for g in map(ring.align, gens) if g.terms]
+    for g in sorted(inputs, key=lambda g: key(leading(g, order)[0])):
+        insert(g, None)
 
     while heap:
         sugar, _, i, j, lcm = heapq.heappop(heap)
@@ -266,18 +278,7 @@ def buchberger(gens: Iterable[LaurentPoly], ring: PolyRing) -> list[LaurentPoly]
         # chain criterion
         if _chain_criterion(i, j, lcm, fmask | gmask, leads, pairset):
             continue
-        s = _spoly(basis[i], flm, flc, basis[j], glm, glc, order)
-        r = normal_form(s, basis, ring, leads)
-        if r.terms:
-            lm, lc = leading(r, order)
-            r = r * lc.inverse()
-            basis.append(r)
-            leads.append((r.terms, lm, ONE, _support(lm)))
-            sugars.append(sugar)
-            k = len(basis) - 1
-            for m in range(k):
-                push_pair(m, k)
-            check_terms(sum(len(b.terms) for b in basis), "basis")
+        insert(_spoly(basis[i], flm, flc, basis[j], glm, glc, order), sugar)
     return _reduce_basis(basis, leads, ring)
 
 
@@ -293,56 +294,22 @@ def _chain_criterion(i, j, lcm, lcm_mask, leads, pairset) -> bool:
     return False
 
 
-def _interreduce(polys: list[LaurentPoly], ring: PolyRing) -> list[LaurentPoly]:
-    order = ring.order
-    work = sorted(polys, key=lambda p: order.key(leading(p, order)[0]))
-    changed = True
-    while changed:
-        changed = False
-        leads = _lead_table(work, order)
-        out: list[LaurentPoly] = []
-        out_leads: list[LeadEntry] = []
-        for idx, p in enumerate(work):
-            others = out_leads + leads[idx + 1 :]
-            r = normal_form(p, out + work[idx + 1 :], ring, others) if others else p
-            if r.terms:
-                lm, lc = leading(r, order)
-                r = r * lc.inverse()
-                if r != p:
-                    changed = True
-                out.append(r)
-                out_leads.append((r.terms, lm, ONE, _support(lm)))
-            else:
-                changed = True
-        work = sorted(out, key=lambda p: order.key(leading(p, order)[0]))
-    return work
-
-
 def _reduce_basis(
     basis: list[LaurentPoly], leads: list[LeadEntry], ring: PolyRing
 ) -> list[LaurentPoly]:
-    order = ring.order
-    # minimal: drop generators whose lead is divisible by another lead
-    kept = [
-        i
-        for i, (_, li, _, mi) in enumerate(leads)
-        if not any(
-            j != i and not mj & ~mi and _divides(lj, li) and (not _divides(li, lj) or j < i)
-            for j, (_, lj, _, mj) in enumerate(leads)
-        )
-    ]
-    polys = [basis[i] for i in kept]
-    kept_leads = [leads[i] for i in kept]
-    # reduced: every tail reduced against the others
+    """Each element's tail reduced by the others; sorted by lead.
+
+    No two elements share a lead, so an element whose lead another lead
+    divides reduces to zero: the others still form a Gröbner basis. A kept
+    element keeps its monic lead. The lead table is all ``normal_form`` reads.
+    """
     out = []
-    for i, g in enumerate(polys):
-        others = kept_leads[:i] + kept_leads[i + 1 :]
-        r = normal_form(g, polys[:i] + polys[i + 1 :], ring, others) if others else g
+    for i, g in enumerate(basis):
+        r = normal_form(g, (), ring, leads[:i] + leads[i + 1 :])
         if r.terms:
-            _, lc = leading(r, order)
-            out.append(r * lc.inverse())
-    out.sort(key=lambda p: order.key(leading(p, order)[0]))
-    return out
+            out.append((leads[i][1], r))
+    out.sort(key=lambda entry: ring.order.key(entry[0]))
+    return [r for _, r in out]
 
 
 # -- Laurent division helpers ---------------------------------------------------
@@ -414,9 +381,6 @@ class Ideal:
         if self._leads is None:
             self._leads = _lead_table(self.groebner(), self.ring.order)
         return normal_form(f, self._gb, self.ring, self._leads)
-
-    def contains(self, f: LaurentPoly) -> bool:
-        return not self.normal_form(f).terms
 
     def is_zero(self) -> bool:
         return not any(g.terms for g in self.groebner())

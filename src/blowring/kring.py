@@ -46,9 +46,6 @@ class VClass:
         if self.m == 0 and self.n < 0:
             raise KRingError("on the point orbit v(n) requires n >= 0")
 
-    def image(self) -> LaurentPoly:
-        return v_dictionary(self.n, self.m)
-
     def __str__(self):
         return f"v({self.n})_{self.m}"
 

@@ -322,16 +322,6 @@ class LaurentPoly:
             result = result + part
         return result
 
-    def evaluate(self, point: Mapping[str, GaussianRational]) -> GaussianRational:
-        total = ZERO
-        for exps, coeff in self.terms.items():
-            val = coeff
-            for v, e in zip(self.vars, exps):
-                if e:
-                    val = val * point[v] ** e
-            total = total + val
-        return total
-
     # -- normalization ------------------------------------------------------
 
     def scaled_primitive(self) -> tuple[GaussianRational, "LaurentPoly"]:

@@ -1,4 +1,4 @@
-"""Root data, lattices, pairings, orbit dimensions and perversity.
+"""Root data, lattices, pairings, reflections and root systems.
 
 Coordinates: the weight lattice X and coweight lattice Y are written in dual
 bases, so the canonical pairing is the dot product. For the simply-connected
@@ -95,31 +95,6 @@ class RootDatum:
     def _simple_coefficients(self, root: Vec) -> tuple[Fraction, ...]:
         cols = [list(a) for a in self.simple_roots]
         return _solve_columns(cols, root)
-
-    def two_rho(self) -> Vec:
-        total = [0] * self.rank
-        for a, _ in self.positive_root_pairs():
-            for k, v in enumerate(a):
-                total[k] += v
-        return tuple(total)
-
-    # -- dominance, dimension, perversity ----------------------------------------
-
-    def is_dominant_coweight(self, coweight: Sequence[int]) -> bool:
-        return all(self.pairing(a, coweight) >= 0 for a in self.simple_roots)
-
-    def orbit_dimension(self, coweight: Sequence[int]) -> int:
-        """dim of the orbit labelled by a dominant coweight: <2 rho, coweight>."""
-        if not self.is_dominant_coweight(coweight):
-            raise RootDatumError(f"coweight {coweight} is not dominant")
-        return self.pairing(self.two_rho(), coweight)
-
-    def perversity_doubled(self, coweight: Sequence[int]) -> int:
-        """-2*<rho, coweight> = -<2 rho, coweight>, exact doubled-integer form."""
-        return -self.orbit_dimension(coweight)
-
-    def perversity(self, coweight: Sequence[int]) -> Fraction:
-        return Fraction(self.perversity_doubled(coweight), 2)
 
     def __repr__(self):
         return f"RootDatum(cartan={self.cartan}, flavor={self.flavor!r})"

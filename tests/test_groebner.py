@@ -1,9 +1,12 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from blowring import groebner
 from blowring.blowup import FLAVORS
 from blowring.groebner import (
     BlockOrder,
@@ -431,6 +434,105 @@ class TestDivisionReference:
         for f in fs:
             r = I.normal_form(f)
             assert r == normal_form(f, gb, ring) == reference_division(f, gb, ring)
+
+
+class TestBuchbergerInputs:
+    """Inputs enter the basis through the step that S-polynomials take.
+
+    Each is reduced by the basis so far, so no two elements share a lead; an
+    element that reduced another to zero must not itself be reduced away.
+    """
+
+    @pytest.mark.parametrize(
+        "gens, basis",
+        [
+            (["x^2", "2*x^2"], ["x^2"]),
+            (["x^2 + y", "x^2 + y"], ["x^2 + y"]),
+            (["0", "x"], ["x"]),
+            (["0"], []),
+            # x reduces x^2*y to zero and x^2*y + y^2 to y^2
+            (["x^2*y", "x^2*y + y^2", "x"], ["x", "y^2"]),
+        ],
+    )
+    def test_pinned_inputs(self, gens, basis):
+        ring = PolyRing(("x", "y"))
+        got = buchberger([parse_poly(g).with_vars(ring.vars) for g in gens], ring)
+        assert [str(g) for g in got] == basis
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.data())
+    def test_permuted_duplicated_scaled_generators(self, data):
+        """The reduced basis depends on the ideal only, not on how its generators are listed."""
+        ring = data.draw(rings_with(max_vars=3))
+        n = len(ring.vars)
+        gens = data.draw(st.lists(polys(n, 3, st.integers(0, 2)), min_size=1, max_size=3))
+        listed = gens + data.draw(st.lists(st.sampled_from(gens), max_size=2))
+        scales = data.draw(st.lists(small_gaussians.filter(bool), min_size=len(listed), max_size=len(listed)))
+        varied = data.draw(st.permutations([g * c for g, c in zip(listed, scales)]))
+        assert buchberger(varied, ring) == buchberger(gens, ring)
+
+
+def _gg_wall_division_ideal(blowups):
+    """J = I + (wall*w - 1) for the GG blow-up: the ideal its saturation is eliminated from."""
+    B = blowups["GG"]
+    ring = B.ring
+    unsaturated = PresentedRing(ring.laurent_vars, ring.poly_vars, ring.relations).ideal
+    return Elimination((), ring._ambient, unsaturated.gens, [ring._encode(B.wall_product)])
+
+
+def _kring_oracle_ideal(blowups):
+    from blowring.kring import KRing
+
+    return KRing(blowups["GG"])._blowup_oracle().ideal
+
+
+def _homology_kernel_ideal(blowups):
+    """The ideal whose elimination gives the homology model's kernel, as Buchberger receives it."""
+    from blowring.centralizer import model, model_kernel
+
+    with mock.patch.object(groebner, "buchberger", wraps=groebner.buchberger) as spy:
+        model_kernel(model("S-prime"))
+    ((gens, ring),) = [call.args for call in spy.call_args_list]
+    return Ideal(ring, gens)
+
+
+class TestPruningCounts:
+    """The exact work of one Buchberger call on three fixed ideals of the suites.
+
+    A reduced basis is unique, so no result shows whether the coprime and chain
+    criteria prune pairs; these counts do.
+    """
+
+    @pytest.mark.parametrize(
+        "build, size, normal_forms, chain_calls, chain_hits",
+        [
+            (_gg_wall_division_ideal, 10, 40, 42, 18),
+            (_kring_oracle_ideal, 13, 104, 165, 96),
+            (_homology_kernel_ideal, 4, 8, 0, 0),
+        ],
+        ids=["GG wall division", "K-ring oracle", "homology kernel"],
+    )
+    def test_counts(self, blowups, monkeypatch, build, size, normal_forms, chain_calls, chain_hits):
+        I = build(blowups)
+        counts = Counter()
+        real_nf, real_chain = groebner.normal_form, groebner._chain_criterion
+
+        def counted_nf(*args):
+            counts["normal_form"] += 1
+            return real_nf(*args)
+
+        def counted_chain(*args):
+            hit = real_chain(*args)
+            counts["chain"] += 1
+            counts["chain_hits"] += hit
+            return hit
+
+        monkeypatch.setattr(groebner, "normal_form", counted_nf)
+        monkeypatch.setattr(groebner, "_chain_criterion", counted_chain)
+        basis = buchberger(I.gens, I.ring)
+        monkeypatch.undo()
+        assert len(basis) == size
+        assert (counts["normal_form"], counts["chain"], counts["chain_hits"]) == (normal_forms, chain_calls, chain_hits)
 
 
 # -- an independent engine: sympy ------------------------------------------------

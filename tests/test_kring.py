@@ -27,11 +27,6 @@ class TestVClass:
             VClass(-1, 0)
         VClass(-1, 1)  # fine off the point orbit
 
-    def test_image_matches_dictionary(self):
-        assert VClass(1, 0).image() == a
-        with pytest.raises(NotDerivableError):
-            VClass(5, 3).image()
-
 
 class TestDictionary:
     def test_generators(self):
@@ -50,6 +45,8 @@ class TestDictionary:
     def test_not_derivable_is_an_error(self):
         with pytest.raises(NotDerivableError):
             v_dictionary(3, 1)
+        with pytest.raises(NotDerivableError):
+            v_dictionary(5, 3)
 
     def test_rederivations(self):
         checks = dictionary_rederivations()

@@ -124,9 +124,6 @@ def test_scalar_fields_are_private():
 UNCALLED_ALLOWED = {
     # perfbench/tracer.py times groebner.eliminate on it; it goes when the span moves
     "Ideal.eliminate",
-    # heads the chain perversity -> perversity_doubled -> orbit_dimension -> two_rho,
-    # which only tests call; it goes with those tests
-    "RootDatum.perversity",
 }
 
 
