@@ -27,6 +27,13 @@ class TestVClass:
             VClass(-1, 0)
         VClass(-1, 1)  # fine off the point orbit
 
+    def test_image_matches_dictionary(self):
+        v = VClass(1, 0)
+        assert v_dictionary(v.n, v.m) == a
+        v = VClass(5, 3)
+        with pytest.raises(NotDerivableError):
+            v_dictionary(v.n, v.m)
+
 
 class TestDictionary:
     def test_generators(self):
@@ -45,8 +52,6 @@ class TestDictionary:
     def test_not_derivable_is_an_error(self):
         with pytest.raises(NotDerivableError):
             v_dictionary(3, 1)
-        with pytest.raises(NotDerivableError):
-            v_dictionary(5, 3)
 
     def test_rederivations(self):
         checks = dictionary_rederivations()
