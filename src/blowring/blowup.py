@@ -272,22 +272,43 @@ def membership(frac: RingFraction, B: BlowupAlgebra) -> MembershipResult:
 
     Returns an explicit certificate: a polynomial in the torus/Cartan
     coordinates and the blow-up generators equal to the fraction in the
-    saturated quotient.
+    saturated quotient. The certificate is the normal form of num*w^k
+    modulo J = I + (wall*w - 1), and both cancellations below keep it.
+
+    A numerator factor n of a rank-1 blow-up is a T, since n = T*wall in
+    the ring: n*w = T*(wall*w) + (n - T*wall)*w is T modulo J, so
+    (n*q)*w^k and (T*q)*w^(k-1) have one normal form, J's basis being
+    reduced. That rests on n - T*wall lying in I, which ``B.numerators``
+    only names: a perturbed relation keeps the numerators it had. So the
+    identity is checked in the ring before the first factor is cancelled.
     """
     wall = B.wall_product
+    laurent_vars = B.ring.laurent_vars
     num, den = B.ring.split(frac)
-    k, unit = factor_wall_denominator(den, wall, B.ring.laurent_vars)
+    k, unit = factor_wall_denominator(den, wall, laurent_vars)
     num = num * unit.monomial_inverse()
     # num = wall*q gives num/wall^k = q/wall^(k-1); wall*w - 1 lies in the
     # division ideal, so q*w^(k-1) has the normal form, the certificate, of num*w^k
     while k:
-        q = _ring_quotient(num, wall, B.ring.laurent_vars)
+        q = _ring_quotient(num, wall, laurent_vars)
         if q is None:
             break
         num, k = q, k - 1
     if k == 0:
         return MembershipResult(True, B.ring.nf(num), 0)
-    cert = B.ring.divide(num, wall, power=k)
+    j = 0
+    if len(B.gen_names) == 1:
+        (n,) = B.numerators
+        T = LaurentPoly.var(B.gen_names[0])
+        q = _ring_quotient(num, n, laurent_vars)
+        if q is not None and B.ring.equal(T * wall, n):
+            while q is not None:
+                num, j = q, j + 1
+                q = _ring_quotient(num, n, laurent_vars) if j < k else None
+            num = num * T**j
+    if j == k:
+        return MembershipResult(True, B.ring.nf(num), k)
+    cert = B.ring.divide(num, wall, power=k - j)
     return MembershipResult(cert is not None, cert, k)
 
 

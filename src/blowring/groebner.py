@@ -207,7 +207,7 @@ def normal_form(
         else:
             remainder[lm] = lc
             del p[lm]
-    return LaurentPoly(ring.vars, remainder)
+    return LaurentPoly._make(ring.vars, remainder)
 
 
 def _spoly(f, flm, flc, g, glm, glc, order) -> LaurentPoly:
@@ -250,7 +250,7 @@ def buchberger(gens: Iterable[LaurentPoly], ring: PolyRing) -> list[LaurentPoly]
         pairset.add((i, j))
 
     def insert(f: LaurentPoly, sugar: int | None):
-        r = normal_form(f, basis, ring, leads)
+        r = normal_form(f, (), ring, leads)
         if not r.terms:
             return
         lm, lc = leading(r, order)
@@ -334,20 +334,23 @@ def laurent_exact_divide(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly | None:
     lo = tuple(map(sub, map(min, fcols), map(min, gcols)))
     hi = tuple(map(sub, map(max, fcols), map(max, gcols)))
     glm = max(gterms)
-    glc = gterms[glm]
+    glc_inverse = gterms[glm].inverse()
+    # each step cancels the remainder's lead against glm exactly, so only the tail is subtracted
+    tail = [(ge, gc) for ge, gc in gterms.items() if ge != glm]
     # the remainder's exponents, negated for a max-heap; cancelled ones linger
     heap = [tuple(map(neg, e)) for e in p]
     heapq.heapify(heap)
     q: dict[Exps, GaussianRational] = {}
     while p:
         lm = tuple(map(neg, heapq.heappop(heap)))
-        if lm not in p:
+        lc = p.pop(lm, None)
+        if lc is None:
             continue
         shift = tuple(map(sub, lm, glm))
         if not (all(map(le, lo, shift)) and all(map(le, shift, hi))):
             return None
-        factor = q[shift] = p[lm] / glc
-        for ge, gc in gterms.items():
+        factor = q[shift] = lc * glc_inverse
+        for ge, gc in tail:
             ke = tuple(map(add, shift, ge))
             cur = p.get(ke)
             if cur is None:
@@ -357,7 +360,7 @@ def laurent_exact_divide(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly | None:
                 p[ke] = nv
             else:
                 del p[ke]
-    return LaurentPoly(vars, q)
+    return LaurentPoly._make(vars, q)
 
 
 # -- ideals --------------------------------------------------------------------
@@ -380,10 +383,7 @@ class Ideal:
     def normal_form(self, f: LaurentPoly) -> LaurentPoly:
         if self._leads is None:
             self._leads = _lead_table(self.groebner(), self.ring.order)
-        return normal_form(f, self._gb, self.ring, self._leads)
-
-    def is_zero(self) -> bool:
-        return not any(g.terms for g in self.groebner())
+        return normal_form(f, (), self.ring, self._leads)
 
     def eliminate(self, keep: Sequence[str]) -> "Ideal":
         """Intersection with the subring in the kept variables."""

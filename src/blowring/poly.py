@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re as _re
 from fractions import Fraction
+from operator import add, neg
 from typing import Mapping, Sequence
 
 from .scalars import GaussianRational, ONE, ZERO, gauss
@@ -33,6 +34,15 @@ class LaurentPoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
+
+    @staticmethod
+    def _make(vars: tuple[str, ...], terms: dict[Exps, GaussianRational]) -> "LaurentPoly":
+        """The polynomial on ``terms`` as given: a fresh dict, owned from now on by
+        the result, of nonzero coefficients keyed by tuples of width len(vars)."""
+        p = _new(LaurentPoly)
+        _set_vars(p, vars)
+        _set_terms(p, terms)
+        return p
 
     # -- constructors -----------------------------------------------------
 
@@ -133,15 +143,28 @@ class LaurentPoly:
                 terms[exps] = s
             else:
                 terms.pop(exps, None)
-        return LaurentPoly(a.vars, terms)
+        return LaurentPoly._make(a.vars, terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return LaurentPoly._make(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "LaurentPoly":
-        return self + (-other)
+        pair = self._pair(other)
+        if pair is None:
+            return NotImplemented
+        a, b = pair
+        terms = dict(a.terms)
+        for exps, coeff in b.terms.items():
+            prev = terms.get(exps)
+            if prev is None:
+                terms[exps] = -coeff
+            elif s := prev - coeff:
+                terms[exps] = s
+            else:
+                del terms[exps]
+        return LaurentPoly._make(a.vars, terms)
 
     def __rsub__(self, other) -> "LaurentPoly":
         return (-self) + other
@@ -151,21 +174,21 @@ class LaurentPoly:
             c = other if isinstance(other, GaussianRational) else gauss(other)
             if not c:
                 return LaurentPoly.zero(self.vars)
-            return LaurentPoly(self.vars, {e: k * c for e, k in self.terms.items()})
+            return LaurentPoly._make(self.vars, {e: k * c for e, k in self.terms.items()})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         a, b = self._pair(other)
         terms: dict[Exps, GaussianRational] = {}
         for e1, c1 in a.terms.items():
             for e2, c2 in b.terms.items():
-                key = tuple(x + y for x, y in zip(e1, e2))
+                key = tuple(map(add, e1, e2))
                 prev = terms.get(key)
                 s = c1 * c2 if prev is None else prev + c1 * c2
                 if s:
                     terms[key] = s
                 else:
                     terms.pop(key, None)
-        return LaurentPoly(a.vars, terms)
+        return LaurentPoly._make(a.vars, terms)
 
     __rmul__ = __mul__
 
@@ -194,7 +217,7 @@ class LaurentPoly:
         if len(self.terms) != 1:
             raise ValueError("only single-term polynomials are invertible")
         ((exps, coeff),) = self.terms.items()
-        return LaurentPoly(self.vars, {tuple(-e for e in exps): coeff.inverse()})
+        return LaurentPoly._make(self.vars, {tuple(map(neg, exps)): coeff.inverse()})
 
     # -- queries ------------------------------------------------------------
 
@@ -244,7 +267,7 @@ class LaurentPoly:
             new = list(exps)
             new[i] -= 1
             terms[tuple(new)] = coeff * exps[i]
-        return LaurentPoly(self.vars, terms)
+        return LaurentPoly._make(self.vars, terms)
 
     def log_derivative(self, name: str) -> "LaurentPoly":
         """The invariant derivation v * d/dv, exponent-multiplication on terms."""
@@ -253,7 +276,7 @@ class LaurentPoly:
         for exps, coeff in self.terms.items():
             if exps[i]:
                 terms[exps] = coeff * exps[i]
-        return LaurentPoly(self.vars, terms)
+        return LaurentPoly._make(self.vars, terms)
 
     def substitute_monomials(
         self,
@@ -362,6 +385,11 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return f"<LaurentPoly {format_poly(self)}>"
+
+
+_new = object.__new__
+_set_vars = LaurentPoly.vars.__set__
+_set_terms = LaurentPoly.terms.__set__
 
 
 def _gcd(a: int, b: int) -> int:

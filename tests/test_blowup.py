@@ -16,6 +16,7 @@ from blowring.blowup import (
 from blowring.fractions import RingFraction
 from blowring.poisson import standard_chart
 from blowring.poly import LaurentPoly, parse_poly
+from blowring.verify import CONTROLS
 
 from conftest import sz_agree
 
@@ -139,6 +140,32 @@ class TestMembership:
             assert res.wall_power == k - j
             assert res.member is (want is not None)
             assert str(res.certificate) == str(want)
+
+    @pytest.mark.parametrize("flavor", FLAVORS)
+    @pytest.mark.parametrize(
+        "i, j, k", [(0, 1, 1), (0, 1, 2), (0, 2, 2), (1, 1, 2), (0, 2, 3), (1, 2, 3), (0, 3, 3), (0, 2, 1), (1, 3, 2)]
+    )
+    def test_numerator_factors_cancel_to_the_same_certificate(self, blowups, flavor, i, j, k):
+        B = blowups[flavor]
+        wall, n = B.wall_product, B.numerators[0]
+        res = membership(RingFraction(wall**i * n**j, wall**k), B)
+        want = B.ring.divide(wall**i * n**j, wall, power=k)
+        assert res.wall_power == k - i
+        assert res.member is (want is not None)
+        assert str(res.certificate) == str(want)
+
+    @pytest.mark.parametrize("flavor", FLAVORS)
+    def test_numerator_cancellation_needs_the_relation(self, blowups, flavor):
+        B = blowups[flavor]
+        wall, n = B.wall_product, B.numerators[0]
+        assert not membership(RingFraction(LaurentPoly.const(1), wall), B).member
+        # the control keeps B.numerators but perturbs the relation T*wall = n
+        bad = CONTROLS[f"blowup:{flavor}"][1](B)
+        assert bad.numerators == B.numerators
+        assert not membership(RingFraction(n, wall), bad).member
+        for j, k in ((1, 2), (2, 2)):
+            res = membership(RingFraction(n**j, wall**k), bad)
+            assert str(res.certificate) == str(bad.ring.divide(n**j, wall, power=k))
 
     def test_wall_power_counts_after_cancelling(self, blowups):
         res = membership(RingFraction((y**2 - 1) * (z**2 - 1), (z**2 - 1) ** 2), blowups["GG"])

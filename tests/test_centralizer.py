@@ -179,8 +179,8 @@ class TestKernels:
         assert g == p or g == -p
 
     def test_affine_plane_kernels_vanish(self):
-        assert model_kernel(model("A2-Gg")).is_zero()
-        assert model_kernel(model("A2-gg")).is_zero()
+        assert not model_kernel(model("A2-Gg")).groebner()
+        assert not model_kernel(model("A2-gg")).groebner()
 
     def test_generic_kernel_of_map(self):
         # kernel of s -> (t^2, t^3) is the cuspidal cubic
@@ -194,7 +194,7 @@ class TestKernels:
         w0, s = LaurentPoly.gens("_w0 s")
         images = {"p": RingFraction(w0, s + 1), "q": RingFraction(s)}
         K = kernel_of_map(RingMap(images), ("p", "q"), (), ("_w0", "s"))
-        assert K.is_zero()
+        assert not K.groebner()
 
 
 class TestBlowupMatch:

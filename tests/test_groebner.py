@@ -77,7 +77,7 @@ class TestElimination:
     def test_free_element_has_no_relation(self):
         # a = z + z^-1 is algebraically free
         I = ideal(("z", "z'", "a"), ["a - z - z'", "z*z' - 1"])
-        assert I.eliminate(["a"]).is_zero()
+        assert not I.eliminate(["a"]).groebner()
 
     def test_free_element_oracle(self):
         """Independent oracle: no polynomial P(a) of degree <= 4 vanishes on z+1/z.
@@ -152,7 +152,7 @@ class TestEliminationPrimitive:
         E = Elimination((), ("_w0",), [], [w0 + 1])
         assert E.aux == ("_w1",)
         assert E.certificate(w0 * LaurentPoly.var("_w1")) is None
-        assert E.kept().is_zero()
+        assert not E.kept().groebner()
 
     @pytest.mark.parametrize("power", [1, 2])
     def test_divide_certificate_remultiplies(self, power):

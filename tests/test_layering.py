@@ -7,6 +7,10 @@ primed partner name, and the Gröbner engine builds no primed variable at all.
 ``GaussianRational`` stores (a + b*i)/d as private integer fields, so no
 module but ``scalars.py`` may name them; the rest reads ``re`` and ``im``.
 
+``LaurentPoly._make`` builds a polynomial without validating its terms, so
+only the arithmetic of ``poly.py`` and ``groebner.py``, which builds clean
+terms, may name it.
+
 Every public function, class and method is named somewhere in ``src`` outside
 its own definition, or re-exported by the package: a name only tests call is
 dead code.
@@ -118,6 +122,15 @@ def test_scalar_fields_stay_in_scalars(name):
 def test_scalar_fields_are_private():
     assert SCALAR_FIELDS and all(f.startswith("_") for f in SCALAR_FIELDS)
     assert SCALAR_FIELDS <= set(_names(_tree("scalars.py")))
+
+
+TRUSTED_CONSTRUCTOR_USERS = {"poly.py", "groebner.py"}
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SRC.glob("*.py")))
+def test_trusted_constructor_stays_in_the_kernel(name):
+    named = "_make" in set(_names(_tree(name)))
+    assert named == (name in TRUSTED_CONSTRUCTOR_USERS), f"{name}: names LaurentPoly._make is {named}"
 
 
 # public names kept although no src module names them (ROADMAP item 10)

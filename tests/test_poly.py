@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from blowring.fractions import RingFraction
+from blowring.groebner import Ideal, PolyRing, laurent_exact_divide, normal_form
 from blowring.poly import LaurentPoly, PolyParseError, format_poly, parse_poly
 from blowring.scalars import gauss
 
@@ -95,6 +96,29 @@ def test_schwartz_zippel_screen(f, g):
     rhs = f * f - g * g
     assert lhs == rhs
     assert sz_agree(lhs, rhs, ("y", "z"), rounds=20)
+
+
+def _is_clean(r: LaurentPoly) -> bool:
+    """r's terms are what the validating constructor keeps: right width, no zero coefficient."""
+    return LaurentPoly(r.vars, r.terms).terms == r.terms
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys, polys, coeffs)
+def test_trusted_results_are_clean(f, g, c):
+    h = LaurentPoly(("z", "x"), g.terms)
+    results = [f + g, f - g, f - f, -f, f * g, f + h, f - h, h - f, f * h, f * c, c * f]
+    results += [f.derivative(v) for v in f.vars] + [f.log_derivative(v) for v in f.vars]
+    # shift into non-negative exponents for the polynomial-ring division
+    shifted = f * LaurentPoly.monomial(1, {"y": 4, "z": 4})
+    ring = PolyRing(("y", "z"))
+    basis = Ideal(ring, [parse_poly("y^2 - z"), parse_poly("y*z - 2")]).groebner()
+    results.append(normal_form(shifted, basis, ring))
+    if g:
+        results.append(laurent_exact_divide(f * g, g))
+        results += [q for q in (laurent_exact_divide(f, g), laurent_exact_divide(f + h, g)) if q is not None]
+    for r in results:
+        assert _is_clean(r), repr(r)
 
 
 def test_symbolic_numeric_disagreement_is_caught():
