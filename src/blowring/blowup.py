@@ -1,9 +1,16 @@
 """Affine blow-up algebras of a pair of Cartan factors at the diagonal walls.
 
-A blow-up algebra adjoins, for each positive root, the wall ratio
-(first-factor equation)/(second-factor equation) to the coordinate ring of
-the product of the two factors; the relation ideal is saturated at the wall
-so that membership of a fraction is a decidable ideal computation.
+A blow-up algebra adjoins, for each positive root, the wall ratio n/wall =
+(first-factor equation)/(second-factor equation) to the coordinate ring A of
+the product of the two factors. At rank 1, n is monic in the first variable
+f alone (prime to f where f is a unit) and the wall is a non-unit in the
+second alone, so (wall, n) is a regular sequence in A. Two lemmas follow:
+1. B = A[T]/(wall*T - n) is already the domain A[n/wall]; saturating at the
+   wall adds nothing (an affine modification: Kaliman and Zaidenberg,
+   Transform. Groups 4, 1999).
+2. Write p, times a unit f^m that clears its negative powers of f, in n-adic
+   digits p = sum_j n^j r_j with deg_f r_j < deg_f n. Then p/wall^k lies in B
+   iff wall^(k-j) divides r_j for every j < k.
 
 Flavor strings name the projection base (second factor) first, like the
 models they match: "gG" is a torus fiber over a Lie-algebra base, "GGv" is a
@@ -14,7 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
+from operator import add
 from typing import Sequence
+from weakref import WeakKeyDictionary
 
 from .actions import GroupAction, Substitution
 from .fractions import RingFraction
@@ -22,7 +31,7 @@ from .groebner import laurent_exact_divide
 from .poly import LaurentPoly
 from .rings import PresentedRing
 from .rootdata import RootDatum
-from .scalars import ONE, gauss
+from .scalars import ONE, ZERO, gauss
 
 FLAVORS = ("gg", "Gg", "gG", "GG", "GGv")
 
@@ -221,11 +230,8 @@ def _rank1_invariant_generators(B, first_kind, second_kind) -> tuple[RingFractio
 
 @dataclass
 class MembershipResult:
-    """``wall_power`` is the power of the wall left after cancelling wall factors of the numerator."""
-
     member: bool
     certificate: LaurentPoly | None
-    wall_power: int
 
     def __bool__(self):
         return self.member
@@ -247,69 +253,117 @@ def _ring_quotient(f: LaurentPoly, g: LaurentPoly, laurent_vars: Sequence[str]) 
 
 
 def factor_wall_denominator(
-    den: LaurentPoly, wall: LaurentPoly, laurent_vars: Sequence[str] = ()
+    den: LaurentPoly, wall: LaurentPoly, laurent_vars: Sequence[str] = (), powers: list | None = None
 ) -> tuple[int, LaurentPoly]:
     """Write den = unit * wall^k with unit a monomial in invertible variables.
 
     Raises if the denominator does not divide a power of the wall product.
+    Degree spans add up under products, so in a variable of the wall den's
+    is k times the wall's; ``powers`` holds [1, wall, ...] and is extended.
     """
-    if _is_unit(wall, laurent_vars):
-        raise BlowupError(f"the wall {wall} is a unit")
-    k = 0
-    cur = den
-    while not _is_unit(cur, laurent_vars):
-        cur = _ring_quotient(cur, wall, laurent_vars)
-        if cur is None:
-            raise BlowupError(
-                f"denominator {den} is not a unit times a power of the wall {wall}"
-            )
-        k += 1
-    return k, cur
+
+    def span(p: LaurentPoly, v: str) -> int:  # a unit's is 0: v is invertible or absent
+        degrees = [e[p.vars.index(v)] for e in p.terms] if v in p.vars else [0]
+        return max(degrees) - (min(degrees) if v in laurent_vars else 0)
+
+    v = next((v for v in wall.support_vars() if span(wall, v) > 0), None)
+    if v is None:  # only a unit (or zero) has no variable of positive span
+        raise BlowupError(f"the wall {wall} is zero or a unit")
+    k, rest = divmod(span(den, v), span(wall, v))
+    powers = [LaurentPoly.const(1), wall] if powers is None else powers
+    while len(powers) <= k:
+        powers.append(powers[-1] * wall)
+    unit = den if not k else None if rest else _ring_quotient(den, powers[k], laurent_vars)
+    if rest or unit is None or not _is_unit(unit, laurent_vars):
+        raise BlowupError(f"denominator {den} is not a unit times a power of the wall {wall}")
+    return k, unit
+
+
+# keyed on the ring: a copy of a blow-up on another ring checks its own relation
+_DIGITS: WeakKeyDictionary = WeakKeyDictionary()
+
+
+def _digits_of(B: BlowupAlgebra) -> tuple:
+    """B.ring's variables, the places of f and T in them, n, deg_f n, the (f-degree, coefficient) of
+    n's lower terms and the list [1, wall, wall^2, ...]: built and checked on first use."""
+    ctx = _DIGITS.get(B.ring)
+    if ctx is not None:
+        return ctx
+    if len(B.gen_names) != 1 or len(B.ring.relations) != 1:
+        raise BlowupError("digits need one blow-up generator and one relation")
+    (f,), (s,), (T,), (relation,) = B.first_vars, B.second_vars, B.gen_names, B.ring.relations
+    units, vars = B.ring.laurent_vars, B.ring.laurent_vars + B.ring.poly_vars
+    wall = B.wall_product.with_vars(vars)
+    n = (wall * LaurentPoly.var(T) - relation).with_vars(vars)
+    terms = {e[vars.index(f)]: c for e, c in n.terms.items()} if n.support_vars() == (f,) else {}
+    d = max(terms, default=0)
+    if not B.ring.nf(relation).is_zero():
+        raise BlowupError(f"the relation {relation} does not vanish in its ring")
+    monic = d > 0 and min(terms) >= 0 and terms[d] == ONE and (f not in units or 0 in terms)
+    if wall.support_vars() != (s,) or _is_unit(wall, units) or not monic:
+        raise BlowupError(f"{relation} is no T*wall - n with the wall in {s} and n in {f} as the module says")
+    tail = tuple((e, c) for e, c in terms.items() if e < d)
+    ctx = _DIGITS[B.ring] = (vars, vars.index(f), vars.index(T), n, d, tail, [LaurentPoly.const(1, vars), wall])
+    return ctx
+
+
+def _expand(terms: dict, i: int, d: int, tail: tuple, k: int) -> tuple[list[dict], dict]:
+    """The digits r_0..r_(k-1) and the rest q of p = sum_j n^j r_j + n^k q, with deg r_j < d in variable i."""
+    digits = []
+    for _ in range(k):
+        by_degree: dict[int, dict] = {}
+        for e, c in terms.items():
+            by_degree.setdefault(e[i], {})[e] = c
+        terms = {}
+        # long division by the monic n, top degree first; each step only adds lower degrees
+        for deg in range(max(by_degree, default=0), d - 1, -1):
+            for e, c in by_degree.pop(deg, {}).items():
+                head, rest = e[:i], e[i + 1 :]
+                terms[head + (deg - d,) + rest] = c
+                for t, nc in tail:
+                    low = by_degree.setdefault(deg - d + t, {})
+                    key = head + (deg - d + t,) + rest
+                    low[key] = low.get(key, ZERO) - c * nc
+        digits.append({e: c for low in by_degree.values() for e, c in low.items() if c})
+    return digits, terms
 
 
 def membership(frac: RingFraction, B: BlowupAlgebra) -> MembershipResult:
-    """Decide whether a wall-denominator fraction lies in the blow-up ring.
+    """Decide whether a wall-denominator fraction lies in the rank-1 blow-up ring, by n-adic digits.
 
-    Returns an explicit certificate: a polynomial in the torus/Cartan
-    coordinates and the blow-up generators equal to the fraction in the
-    saturated quotient. The certificate is the normal form of num*w^k
-    modulo J = I + (wall*w - 1), and both cancellations below keep it.
-
-    A numerator factor n of a rank-1 blow-up is a T, since n = T*wall in
-    the ring: n*w = T*(wall*w) + (n - T*wall)*w is T modulo J, so
-    (n*q)*w^k and (T*q)*w^(k-1) have one normal form, J's basis being
-    reduced. That rests on n - T*wall lying in I, which ``B.numerators``
-    only names: a perturbed relation keeps the numerators it had. So the
-    identity is checked in the ring before the first factor is cancelled.
+    By lemma 1, B.ring needs no saturation and is the domain A[n/wall], so
+    T = n/wall and the fraction is p/wall^k with p free of T. By lemma 2 it
+    is a member iff wall^(k-j) divides r_j for j < k; the certificate
+    f^-m * (sum_(j<k) T^j r_j/wall^(k-j) + T^k q), q the rest after k
+    digits, is returned as its normal form in B.ring: normal forms are
+    unique, so it is the division engine's. Raises BlowupError unless
+    B.ring is a rank-1 blow-up of the module's form.
     """
-    wall = B.wall_product
-    laurent_vars = B.ring.laurent_vars
+    vars, fi, ti, n, d, tail, powers = _digits_of(B)
+    units = B.ring.laurent_vars
     num, den = B.ring.split(frac)
-    k, unit = factor_wall_denominator(den, wall, laurent_vars)
-    num = num * unit.monomial_inverse()
-    # num = wall*q gives num/wall^k = q/wall^(k-1); wall*w - 1 lies in the
-    # division ideal, so q*w^(k-1) has the normal form, the certificate, of num*w^k
-    while k:
-        q = _ring_quotient(num, wall, laurent_vars)
-        if q is None:
-            break
-        num, k = q, k - 1
-    if k == 0:
-        return MembershipResult(True, B.ring.nf(num), 0)
-    j = 0
-    if len(B.gen_names) == 1:
-        (n,) = B.numerators
-        T = LaurentPoly.var(B.gen_names[0])
-        q = _ring_quotient(num, n, laurent_vars)
-        if q is not None and B.ring.equal(T * wall, n):
-            while q is not None:
-                num, j = q, j + 1
-                q = _ring_quotient(num, n, laurent_vars) if j < k else None
-            num = num * T**j
-    if j == k:
-        return MembershipResult(True, B.ring.nf(num), k)
-    cert = B.ring.divide(num, wall, power=k - j)
-    return MembershipResult(cert is not None, cert, k)
+    num = num.with_vars(vars)
+    top = max((e[ti] for e in num.terms), default=0)
+    if top:  # p(T)/den = (wall^top * p(n/wall)) / (wall^top * den)
+        parts = [{e[:ti] + (0,) + e[ti + 1 :]: c for e, c in num.terms.items() if e[ti] == j} for j in range(top + 1)]
+        terms = (LaurentPoly(vars, t) * n**j * powers[1] ** (top - j) for j, t in enumerate(parts))
+        num, den = sum(terms, LaurentPoly.zero(vars)), den * powers[1] ** top
+    k, unit = factor_wall_denominator(den, powers[1], units, powers)
+    if not k:
+        return MembershipResult(True, B.ring.nf(num * unit.monomial_inverse()))
+    ((shift, uc),) = unit.monomial_inverse().with_vars(vars).terms.items()
+    m = -min(min((e[fi] for e in num.terms), default=0) + shift[fi], 0)
+    shift = shift[:fi] + (shift[fi] + m,) + shift[fi + 1 :]
+    digits, q = _expand({tuple(map(add, e, shift)): c * uc for e, c in num.terms.items()}, fi, d, tail, k)
+    steps = [tuple(-m if i == fi else j if i == ti else 0 for i in range(len(vars))) for j in range(k + 1)]
+    cert = {tuple(map(add, e, steps[k])): c for e, c in q.items()}
+    for j, r in enumerate(digits):
+        if r:
+            r = _ring_quotient(LaurentPoly(vars, r), powers[k - j], units)
+            if r is None:
+                return MembershipResult(False, None)
+            cert.update((tuple(map(add, e, steps[j])), c) for e, c in r.terms.items())
+    return MembershipResult(True, B.ring.nf(LaurentPoly(vars, cert)))
 
 
 # -- Denis conditions --------------------------------------------------------------

@@ -1,7 +1,8 @@
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from blowring.blowup import (
     FLAVORS,
@@ -16,6 +17,7 @@ from blowring.blowup import (
 from blowring.fractions import RingFraction
 from blowring.poisson import standard_chart
 from blowring.poly import LaurentPoly, parse_poly
+from blowring.rings import PresentedRing
 from blowring.verify import CONTROLS
 
 from conftest import sz_agree
@@ -137,7 +139,6 @@ class TestMembership:
         for g in (B.numerators[0], LaurentPoly.const(1)):
             res = membership(RingFraction(wall**j * g, wall**k), B)
             want = B.ring.divide(wall**j * g, wall, power=k)
-            assert res.wall_power == k - j
             assert res.member is (want is not None)
             assert str(res.certificate) == str(want)
 
@@ -150,7 +151,6 @@ class TestMembership:
         wall, n = B.wall_product, B.numerators[0]
         res = membership(RingFraction(wall**i * n**j, wall**k), B)
         want = B.ring.divide(wall**i * n**j, wall, power=k)
-        assert res.wall_power == k - i
         assert res.member is (want is not None)
         assert str(res.certificate) == str(want)
 
@@ -167,9 +167,9 @@ class TestMembership:
             res = membership(RingFraction(n**j, wall**k), bad)
             assert str(res.certificate) == str(bad.ring.divide(n**j, wall, power=k))
 
-    def test_wall_power_counts_after_cancelling(self, blowups):
+    def test_numerator_wall_factor_cancels_to_T(self, blowups):
         res = membership(RingFraction((y**2 - 1) * (z**2 - 1), (z**2 - 1) ** 2), blowups["GG"])
-        assert res.member and res.wall_power == 1 and str(res.certificate) == "T"
+        assert res.member and str(res.certificate) == "T"
 
     def test_invalid_denominator_rejected(self, blowups):
         with pytest.raises(BlowupError):
@@ -188,6 +188,100 @@ class TestMembership:
         for frac in named:
             assert RingFraction(w(frac.num), w(frac.den)) == frac
             assert membership(frac, B).member
+
+
+def _relation_numerator(B):
+    """n = wall*T - relation, read from the ring as membership reads it."""
+    (relation,) = B.ring.relations
+    return B.wall_product * LaurentPoly.var(B.gen_names[0]) - relation
+
+
+@pytest.fixture(scope="module")
+def controlled(blowups):
+    """Each blow-up under its negative control."""
+    return {flavor: CONTROLS[f"blowup:{flavor}"][1](B) for flavor, B in blowups.items()}
+
+
+class TestDigits:
+    """membership decides by n-adic digits; the division engine is the reference."""
+
+    @pytest.mark.parametrize("control", [False, True], ids=["ring", "control"])
+    @pytest.mark.parametrize("flavor", FLAVORS)
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_digits_agree_with_the_division_engine(self, blowups, controlled, flavor, control, data):
+        B = (controlled if control else blowups)[flavor]
+        (f,), (s,), units = B.first_vars, B.second_vars, B.ring.laurent_vars
+        exps = lambda v: st.integers(-1 if v in units else 0, 2)
+
+        def small():
+            terms = st.tuples(exps(f), exps(s), st.integers(-2, 2))
+            drawn = data.draw(st.lists(terms, max_size=2))
+            return sum((c * LaurentPoly.monomial(1, {f: a, s: b}) for a, b, c in drawn), LaurentPoly.zero())
+
+        k = data.draw(st.integers(0, 3))
+        n, wall = _relation_numerator(B), B.wall_product
+        # a member of I^k for I = (n, wall); I is proper, so a constant c != 0 breaks that for k > 0
+        p = sum((n**j * wall ** (k - j) * small() for j in range(k + 1)), LaurentPoly.zero())
+        if data.draw(st.booleans()):
+            p = p + small() + data.draw(st.integers(0, 2))
+        res = membership(RingFraction(p, wall**k), B)
+        want = B.ring.divide(p, wall, power=k)
+        event(f"member={res.member}")
+        assert res.member is (want is not None)
+        assert str(res.certificate) == str(want)
+
+    @pytest.mark.parametrize("flavor", FLAVORS)
+    def test_numerators_with_T(self, blowups, flavor):
+        B = blowups[flavor]
+        wall, n, T = B.wall_product, B.numerators[0], LaurentPoly.var("T")
+        for p, k in ((T, 1), (T * wall - n, 2), (T**2 * n, 1), (T * n + wall, 1), (T**2 - T, 3)):
+            res = membership(RingFraction(p, wall**k), B)
+            want = B.ring.divide(p, wall, power=k)
+            assert res.member is (want is not None), (p, k)
+            assert str(res.certificate) == str(want), (p, k)
+
+    @pytest.mark.parametrize("flavor", FLAVORS)
+    def test_relation_outside_the_digit_form_raises(self, blowups, flavor):
+        B = blowups[flavor]
+        (f,), (s,), units = B.first_vars, B.second_vars, B.ring.laurent_vars
+        T, wall, n = LaurentPoly.var("T"), B.wall_product, B.numerators[0]
+        bad_numerators = [
+            n + LaurentPoly.var(s),  # a second-factor variable in n
+            LaurentPoly.var(f) if f in units else LaurentPoly.const(1),  # a unit n
+            n * 2,  # not monic
+        ]
+        if f in units:
+            bad_numerators.append(n * LaurentPoly.var(f))  # f divides n
+        for bad_n in bad_numerators:
+            ring = PresentedRing(B.ring.laurent_vars, B.ring.poly_vars, [T * wall - bad_n])
+            with pytest.raises(BlowupError):
+                membership(RingFraction(n, wall), replace(B, ring=ring))
+
+    def test_relation_must_vanish_in_the_ring(self, blowups):
+        B = blowups["GG"]
+        # the relation is recorded, but the ideal is that of the ring without it
+        plain = PresentedRing(B.ring.laurent_vars, B.ring.poly_vars).ideal
+        ring = PresentedRing(B.ring.laurent_vars, B.ring.poly_vars, B.ring.relations, _ideal=plain)
+        with pytest.raises(BlowupError):
+            membership(RingFraction(B.numerators[0], B.walls[0]), replace(B, ring=ring))
+
+    def test_rank_two_is_refused(self):
+        from blowring.rootdata import RootDatum
+
+        B = build_blowup(RootDatum([[2, -1], [-1, 2]], "simply-connected"), "gg")
+        with pytest.raises(BlowupError):
+            membership(RingFraction(LaurentPoly.var("u1"), LaurentPoly.var("x1")), B)
+
+    @pytest.mark.parametrize("flavor", FLAVORS)
+    def test_control_reads_its_own_relation(self, sl2_datum, flavor):
+        # a blow-up of its own, so that its context is certainly built before the control's
+        B = build_blowup(sl2_datum, flavor)
+        ratio = RingFraction(B.numerators[0], B.walls[0])
+        assert str(membership(ratio, B).certificate) == "T"
+        bad = CONTROLS[f"blowup:{flavor}"][1](B)
+        assert not membership(ratio, bad).member
+        assert membership(ratio, B).member
 
 
 class TestLaurentCertificates:

@@ -137,6 +137,8 @@ def test_trusted_constructor_stays_in_the_kernel(name):
 UNCALLED_ALLOWED = {
     # perfbench/tracer.py times groebner.eliminate on it; it goes when the span moves
     "Ideal.eliminate",
+    # perfbench/tracer.py times rings.divide on it; the tests keep it as the engine cross-check
+    "PresentedRing.divide",
 }
 
 
