@@ -19,7 +19,7 @@ from .groebner import (
     normal_form,
 )
 from .rings import PresentedRing
-from .rootdata import RootDatum, pgl2, sl2
+from .rootdata import RootDatum, sl2
 from .actions import GroupAction, Substitution, invariant_generators
 from .blowup import (
     BlowupAlgebra,

@@ -4,13 +4,19 @@ A blow-up algebra adjoins, for each positive root, the wall ratio n/wall =
 (first-factor equation)/(second-factor equation) to the coordinate ring A of
 the product of the two factors. At rank 1, n is monic in the first variable
 f alone (prime to f where f is a unit) and the wall is a non-unit in the
-second alone, so (wall, n) is a regular sequence in A. Two lemmas follow:
+second variable s alone, so (wall, n) is a regular sequence in A. Two lemmas
+follow:
 1. B = A[T]/(wall*T - n) is already the domain A[n/wall]; saturating at the
    wall adds nothing (an affine modification: Kaliman and Zaidenberg,
    Transform. Groups 4, 1999).
 2. Write p, times a unit f^m that clears its negative powers of f, in n-adic
    digits p = sum_j n^j r_j with deg_f r_j < deg_f n. Then p/wall^k lies in B
    iff wall^(k-j) divides r_j for every j < k.
+On a grid of p's coefficients, row i for f^i and a column per power of s,
+with n = f^d + sum_(t<d) c_t f^t: the digits come from the row operations
+row[i-d+t] -= c_t * row[i], top row first, and since the wall lies in s
+alone, wall^(k-j) divides r_j iff it divides each of r_j's d rows, one
+dense division of a polynomial in s each.
 
 Flavor strings name the projection base (second factor) first, like the
 models they match: "gG" is a torus fiber over a Lie-algebra base, "GGv" is a
@@ -21,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
-from operator import add
+from operator import itemgetter
 from typing import Sequence
 from weakref import WeakKeyDictionary
 
@@ -241,40 +247,72 @@ def _is_unit(p: LaurentPoly, laurent_vars: Sequence[str]) -> bool:
     return p.is_monomial() and all(v in laurent_vars for v in p.support_vars())
 
 
-def _ring_quotient(f: LaurentPoly, g: LaurentPoly, laurent_vars: Sequence[str]) -> LaurentPoly | None:
-    """f/g if it has no negative power of a variable outside ``laurent_vars``, else None.
+def _dense(p: LaurentPoly, v: str) -> tuple[int, list]:
+    """p's lowest degree in v and its coefficients from there to its highest,
+    one per degree, for p whose exponents in its other variables do not vary."""
+    i = p.vars.index(v)
+    degrees = {e[i]: c for e, c in p.terms.items()}
+    low = min(degrees)
+    return low, [degrees.get(e, ZERO) for e in range(low, max(degrees) + 1)]
 
-    Those variables are not units, so such a Laurent quotient is no division in the ring.
-    """
-    q = laurent_exact_divide(f, g)
-    if q is None or any(q.min_degree_in(v) < 0 for v in q.vars if v not in laurent_vars):
-        return None
-    return q
+
+class _WallPowers:
+    """A wall in one variable v as v^low times its dense coefficients c (c[0], c[-1] != 0),
+    and the dense coefficients c^k of its powers, kept per ring as they are asked for."""
+
+    def __init__(self, wall: LaurentPoly, laurent_vars: Sequence[str]):
+        support = wall.support_vars()
+        if len(support) != 1:
+            raise BlowupError(f"the wall {wall} does not lie in one variable")
+        (self.var,) = support
+        self.wall, self.invertible = wall, self.var in laurent_vars
+        self.low, c = _dense(wall, self.var)
+        # degree spans in v add up under products; a unit's is 0, as v is invertible
+        self.span = len(c) - 1 + (0 if self.invertible else self.low)
+        if self.span <= 0:
+            raise BlowupError(f"the wall {wall} is a unit")
+        self.powers: dict = {}  # k -> c^k, 1/c^k[0] and the other nonzero entries of c^k
+
+    def quotient(self, column: list, k: int) -> list | None:
+        """q with column = q * c^k as coefficient lists from index 0, or None if c^k does not
+        divide column: long division from the bottom, since c^k[0] != 0."""
+        if k not in self.powers:
+            c = _dense(self.wall**k, self.var)[1]
+            self.powers[k] = c, c[0].inverse(), [(j, cj) for j, cj in enumerate(c) if j and cj]
+        c, inv, tail = self.powers[k]
+        rest, size = list(column), max(len(column) - len(c) + 1, 0)
+        q = [ZERO] * size
+        for i in range(size):
+            if rest[i]:
+                q[i] = a = rest[i] * inv
+                for j, cj in tail:
+                    rest[i + j] = rest[i + j] - a * cj
+        return None if any(rest[size:]) else q
 
 
 def factor_wall_denominator(
-    den: LaurentPoly, wall: LaurentPoly, laurent_vars: Sequence[str] = (), powers: list | None = None
+    den: LaurentPoly, wall: LaurentPoly, laurent_vars: Sequence[str] = (), powers: _WallPowers | None = None
 ) -> tuple[int, LaurentPoly]:
     """Write den = unit * wall^k with unit a monomial in invertible variables.
 
-    Raises if the denominator does not divide a power of the wall product.
-    Degree spans add up under products, so in a variable of the wall den's
-    is k times the wall's; ``powers`` holds [1, wall, ...] and is extended.
+    The wall lies in one variable v (``powers`` holds it, built here if not
+    given). Degree spans in v add up under products, so den's is k times the
+    wall's; one dense division of den's coefficients in v by those of wall^k
+    checks the rest. Raises if den is no unit times a power of the wall.
     """
-
-    def span(p: LaurentPoly, v: str) -> int:  # a unit's is 0: v is invertible or absent
-        degrees = [e[p.vars.index(v)] for e in p.terms] if v in p.vars else [0]
-        return max(degrees) - (min(degrees) if v in laurent_vars else 0)
-
-    v = next((v for v in wall.support_vars() if span(wall, v) > 0), None)
-    if v is None:  # only a unit (or zero) has no variable of positive span
-        raise BlowupError(f"the wall {wall} is zero or a unit")
-    k, rest = divmod(span(den, v), span(wall, v))
-    powers = [LaurentPoly.const(1), wall] if powers is None else powers
-    while len(powers) <= k:
-        powers.append(powers[-1] * wall)
-    unit = den if not k else None if rest else _ring_quotient(den, powers[k], laurent_vars)
-    if rest or unit is None or not _is_unit(unit, laurent_vars):
+    w = powers or _WallPowers(wall, laurent_vars)
+    k = rest = 0
+    unit = den
+    if w.var in den.vars:
+        i = den.vars.index(w.var)
+        low, column = _dense(den, w.var)
+        k, rest = divmod(len(column) - 1 + (0 if w.invertible else low), w.span)
+    if k and not rest:  # den / wall^k, if den is a monomial in its other variables times one column in v
+        others = {e[:i] + e[i + 1 :] for e in den.terms}
+        q = w.quotient(column, k) if len(others) == 1 else None
+        shift = low - k * w.low  # the degree in v of q[0]; no q leaves unit zero
+        unit = LaurentPoly(den.vars, {o[:i] + (shift + a,) + o[i:]: c for o in others for a, c in enumerate(q or ())})
+    if rest or not unit or not _is_unit(unit, laurent_vars):
         raise BlowupError(f"denominator {den} is not a unit times a power of the wall {wall}")
     return k, unit
 
@@ -284,8 +322,9 @@ _DIGITS: WeakKeyDictionary = WeakKeyDictionary()
 
 
 def _digits_of(B: BlowupAlgebra) -> tuple:
-    """B.ring's variables, the places of f and T in them, n, deg_f n, the (f-degree, coefficient) of
-    n's lower terms and the list [1, wall, wall^2, ...]: built and checked on first use."""
+    """B.ring's variables, the places of f, s and T in them, n, deg_f n, the (f-degree,
+    negated coefficient) of n's lower terms, the wall's powers and the gather that orders an
+    (f, s, T) exponent triple as the variables: built and checked on first use."""
     ctx = _DIGITS.get(B.ring)
     if ctx is not None:
         return ctx
@@ -300,69 +339,63 @@ def _digits_of(B: BlowupAlgebra) -> tuple:
     if not B.ring.nf(relation).is_zero():
         raise BlowupError(f"the relation {relation} does not vanish in its ring")
     monic = d > 0 and min(terms) >= 0 and terms[d] == ONE and (f not in units or 0 in terms)
-    if wall.support_vars() != (s,) or _is_unit(wall, units) or not monic:
+    if sorted(vars) != sorted((f, s, T)) or wall.support_vars() != (s,) or not monic:
         raise BlowupError(f"{relation} is no T*wall - n with the wall in {s} and n in {f} as the module says")
-    tail = tuple((e, c) for e, c in terms.items() if e < d)
-    ctx = _DIGITS[B.ring] = (vars, vars.index(f), vars.index(T), n, d, tail, [LaurentPoly.const(1, vars), wall])
+    tail = tuple((e, -c) for e, c in terms.items() if e < d)  # negated
+    places = tuple(map(vars.index, (f, s, T)))
+    order = itemgetter(*((f, s, T).index(v) for v in vars))
+    ctx = _DIGITS[B.ring] = (vars, places, n, d, tail, _WallPowers(wall, units), order)
     return ctx
-
-
-def _expand(terms: dict, i: int, d: int, tail: tuple, k: int) -> tuple[list[dict], dict]:
-    """The digits r_0..r_(k-1) and the rest q of p = sum_j n^j r_j + n^k q, with deg r_j < d in variable i."""
-    digits = []
-    for _ in range(k):
-        by_degree: dict[int, dict] = {}
-        for e, c in terms.items():
-            by_degree.setdefault(e[i], {})[e] = c
-        terms = {}
-        # long division by the monic n, top degree first; each step only adds lower degrees
-        for deg in range(max(by_degree, default=0), d - 1, -1):
-            for e, c in by_degree.pop(deg, {}).items():
-                head, rest = e[:i], e[i + 1 :]
-                terms[head + (deg - d,) + rest] = c
-                for t, nc in tail:
-                    low = by_degree.setdefault(deg - d + t, {})
-                    key = head + (deg - d + t,) + rest
-                    low[key] = low.get(key, ZERO) - c * nc
-        digits.append({e: c for low in by_degree.values() for e, c in low.items() if c})
-    return digits, terms
 
 
 def membership(frac: RingFraction, B: BlowupAlgebra) -> MembershipResult:
     """Decide whether a wall-denominator fraction lies in the rank-1 blow-up ring, by n-adic digits.
 
     By lemma 1, B.ring needs no saturation and is the domain A[n/wall], so
-    T = n/wall and the fraction is p/wall^k with p free of T. By lemma 2 it
-    is a member iff wall^(k-j) divides r_j for j < k; the certificate
-    f^-m * (sum_(j<k) T^j r_j/wall^(k-j) + T^k q), q the rest after k
-    digits, is returned as its normal form in B.ring: normal forms are
-    unique, so it is the division engine's. Raises BlowupError unless
-    B.ring is a rank-1 blow-up of the module's form.
+    T = n/wall and the fraction is p/wall^k with p free of T. p, times the
+    unit f^m/unit(den), is held as a grid of coefficients, row i for f^i and
+    a column per power of s. Lemma 2's digits come from long division by the
+    monic n, top row first; each nonzero row of the digit r_j must be divided
+    by wall^(k-j) in k[s] or k[s^(+-)], and the first failure means no member.
+    The certificate f^-m * (sum_(j<k) T^j r_j/wall^(k-j) + T^k q), q the
+    rest after k digits, is returned as its normal form in B.ring: normal
+    forms are unique, so it is the division engine's. Raises BlowupError
+    unless B.ring is a rank-1 blow-up of the module's form.
     """
-    vars, fi, ti, n, d, tail, powers = _digits_of(B)
-    units = B.ring.laurent_vars
+    vars, (fi, si, ti), n, d, tail, powers, order = _digits_of(B)
+    wall = powers.wall
     num, den = B.ring.split(frac)
     num = num.with_vars(vars)
     top = max((e[ti] for e in num.terms), default=0)
     if top:  # p(T)/den = (wall^top * p(n/wall)) / (wall^top * den)
         parts = [{e[:ti] + (0,) + e[ti + 1 :]: c for e, c in num.terms.items() if e[ti] == j} for j in range(top + 1)]
-        terms = (LaurentPoly(vars, t) * n**j * powers[1] ** (top - j) for j, t in enumerate(parts))
-        num, den = sum(terms, LaurentPoly.zero(vars)), den * powers[1] ** top
-    k, unit = factor_wall_denominator(den, powers[1], units, powers)
-    if not k:
-        return MembershipResult(True, B.ring.nf(num * unit.monomial_inverse()))
+        terms = (LaurentPoly(vars, t) * n**j * wall ** (top - j) for j, t in enumerate(parts))
+        num, den = sum(terms, LaurentPoly.zero(vars)), den * wall**top
+    k, unit = factor_wall_denominator(den, wall, B.ring.laurent_vars, powers)
     ((shift, uc),) = unit.monomial_inverse().with_vars(vars).terms.items()
-    m = -min(min((e[fi] for e in num.terms), default=0) + shift[fi], 0)
-    shift = shift[:fi] + (shift[fi] + m,) + shift[fi + 1 :]
-    digits, q = _expand({tuple(map(add, e, shift)): c * uc for e, c in num.terms.items()}, fi, d, tail, k)
-    steps = [tuple(-m if i == fi else j if i == ti else 0 for i in range(len(vars))) for j in range(k + 1)]
-    cert = {tuple(map(add, e, steps[k])): c for e, c in q.items()}
-    for j, r in enumerate(digits):
-        if r:
-            r = _ring_quotient(LaurentPoly(vars, r), powers[k - j], units)
-            if r is None:
-                return MembershipResult(False, None)
-            cert.update((tuple(map(add, e, steps[j])), c) for e, c in r.terms.items())
+    fs = [e[fi] + shift[fi] for e in num.terms] or [0]
+    ss = [e[si] + shift[si] for e in num.terms] or [0]
+    m, low = -min(min(fs), 0), min(ss)
+    grid = [[ZERO] * (max(ss) - low + 1) for _ in range(max(fs) + m + 1)]
+    for a, b, c in zip(fs, ss, num.terms.values()):
+        grid[a + m][b - low] = c * uc
+    cert = {}
+    for j in range(k):
+        for i in range(len(grid) - 1, (j + 1) * d - 1, -1):  # row[i-d+t] += (-c_t) * row[i]
+            row = [(col, a) for col, a in enumerate(grid[i]) if a]
+            for t, nc in tail:
+                target = grid[i - d + t]
+                for col, a in row if nc == ONE else [(col, nc * a) for col, a in row]:
+                    target[col] += a
+        base = low - (k - j) * powers.low  # the s-degree of a quotient's first entry
+        for t, row in enumerate(grid[j * d : (j + 1) * d]):  # the digit r_j, final now
+            if any(row):
+                q = powers.quotient(row, k - j)
+                if q is None or (not powers.invertible and any(q[: max(-base, 0)])):
+                    return MembershipResult(False, None)
+                cert.update((order((t - m, base + col, j)), a) for col, a in enumerate(q) if a)
+    for i, row in enumerate(grid[k * d :]):
+        cert.update((order((i - m, low + col, k)), a) for col, a in enumerate(row) if a)
     return MembershipResult(True, B.ring.nf(LaurentPoly(vars, cert)))
 
 

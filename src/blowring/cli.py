@@ -12,9 +12,8 @@ import json
 import sys
 from dataclasses import fields, replace
 
-from .blowup import BlowupError, FLAVORS, build_blowup, membership
+from .blowup import FLAVORS, build_blowup, membership
 from .centralizer import (
-    CentralizerError,
     MODEL_NAMES,
     kernel_matches_relation,
     model,
@@ -22,9 +21,9 @@ from .centralizer import (
 )
 from .actions import invariant_generators
 from .fractions import RingFraction, parse_fraction
-from .fusion import FusionRangeError, fusion_table
+from .fusion import fusion_table
 from .groebner import ResourceLimitError, term_budget
-from .kring import KRing, KRingError
+from .kring import KRing
 from .poisson import standard_chart
 from .poly import PolyParseError, parse_poly
 from .reports import Config, UsageError
@@ -296,7 +295,7 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except (BlowupError, CentralizerError, KRingError, FusionRangeError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
 

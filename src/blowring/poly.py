@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re as _re
 from fractions import Fraction
-from operator import add, neg
+from operator import add, itemgetter, neg
 from typing import Mapping, Sequence
 
 from .scalars import GaussianRational, ONE, ZERO, gauss
@@ -22,6 +22,8 @@ class LaurentPoly:
 
     def __init__(self, vars: Sequence[str], terms: Mapping[Exps, GaussianRational] | None = None):
         vars = tuple(vars)
+        if len(set(vars)) != len(vars):
+            raise ValueError(f"repeated variable name in {vars}")
         clean: dict[Exps, GaussianRational] = {}
         if terms:
             for exps, coeff in terms.items():
@@ -75,30 +77,20 @@ class LaurentPoly:
     # -- variable alignment -----------------------------------------------
 
     def with_vars(self, vars: Sequence[str]) -> "LaurentPoly":
-        """Re-express over a variable list containing all used variables."""
+        """Re-express over a list of distinct variables containing all used variables."""
         vars = tuple(vars)
         if vars == self.vars:
             return self
-        index = {v: i for i, v in enumerate(vars)}
-        pos = []
-        for i, v in enumerate(self.vars):
-            j = index.get(v)
-            if j is None:
-                if any(e[i] for e in self.terms):
-                    raise ValueError(f"variable {v!r} not in target list")
-                pos.append(None)
-            else:
-                pos.append(j)
-        terms: dict[Exps, GaussianRational] = {}
-        for exps, coeff in self.terms.items():
-            new = [0] * len(vars)
-            for i, e in enumerate(exps):
-                if e:
-                    new[pos[i]] = e
-            key = tuple(new)
-            prev = terms.get(key)
-            terms[key] = coeff if prev is None else prev + coeff
-        return LaurentPoly(vars, terms)
+        if len(set(vars)) != len(vars):
+            raise ValueError(f"repeated variable name in {vars}")
+        where = {v: i for i, v in enumerate(self.vars)}
+        pad = len(self.vars)  # the place of the 0 appended to every exponent tuple
+        picks = [where.pop(v, pad) for v in vars]
+        for v, i in where.items():
+            if any(e[i] for e in self.terms):
+                raise ValueError(f"variable {v!r} not in target list")
+        gather = itemgetter(*picks) if len(picks) > 1 else lambda e: tuple(e[i] for i in picks)
+        return LaurentPoly._make(vars, {gather(e + (0,)): c for e, c in self.terms.items()})
 
     def support_vars(self) -> tuple[str, ...]:
         used = [False] * len(self.vars)

@@ -115,11 +115,6 @@ def sl2() -> RootDatum:
     return RootDatum([[2]], "simply-connected")
 
 
-def pgl2() -> RootDatum:
-    """Rank 1 adjoint: X = Z*alpha, Y = Z*omegach, alphach = 2*omegach."""
-    return RootDatum([[2]], "adjoint")
-
-
 def _unit(i: int, n: int) -> Vec:
     return tuple(1 if k == i else 0 for k in range(n))
 

@@ -14,6 +14,7 @@ import pytest
 
 from blowring.fractions import RingFraction
 from blowring.poly import LaurentPoly
+from blowring.rootdata import RootDatum
 from blowring.scalars import GaussianRational, gauss
 
 
@@ -32,6 +33,11 @@ def evaluate(f: LaurentPoly, point: dict[str, GaussianRational]) -> GaussianRati
             coeff = coeff * point[v] ** e
         total = total + coeff
     return total
+
+
+def pgl2() -> RootDatum:
+    """Rank 1 adjoint: X = Z*alpha, Y = Z*omegach, alphach = 2*omegach."""
+    return RootDatum([[2]], "adjoint")
 
 
 def random_point(vars, rng: random.Random, avoid=()) -> dict[str, GaussianRational]:

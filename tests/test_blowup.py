@@ -1,3 +1,4 @@
+import sys
 from dataclasses import replace
 from itertools import combinations
 
@@ -123,6 +124,8 @@ class TestMembership:
             factor_wall_denominator(z**2 - 2, z**2 - 1, ("z",))
         with pytest.raises(BlowupError):  # a unit wall divides out for ever
             factor_wall_denominator(z**2 + 1, z, ("z",))
+        with pytest.raises(BlowupError):  # the wall's powers are dense in one variable
+            factor_wall_denominator(y * z - 1, y * z - 1, ("y", "z"))
 
     def test_wall_in_a_non_invertible_variable(self):
         # x is no unit, so (x^2 + 1)/x = x + x^-1 is no division in the ring:
@@ -219,7 +222,7 @@ class TestDigits:
             drawn = data.draw(st.lists(terms, max_size=2))
             return sum((c * LaurentPoly.monomial(1, {f: a, s: b}) for a, b, c in drawn), LaurentPoly.zero())
 
-        k = data.draw(st.integers(0, 3))
+        k = data.draw(st.integers(0, 6))
         n, wall = _relation_numerator(B), B.wall_product
         # a member of I^k for I = (n, wall); I is proper, so a constant c != 0 breaks that for k > 0
         p = sum((n**j * wall ** (k - j) * small() for j in range(k + 1)), LaurentPoly.zero())
@@ -230,6 +233,30 @@ class TestDigits:
         event(f"member={res.member}")
         assert res.member is (want is not None)
         assert str(res.certificate) == str(want)
+
+    def test_slowest_stream_bracket_agrees_with_the_division_engine(self, blowups):
+        # a GGv bracket of two products of wall fractions, over wall^14
+        B = blowups["GGv"]
+        gens = B.invariant_gens
+        br = standard_chart(B).bracket(gens[3] * gens[3], gens[2] * gens[3])
+        num, den = B.ring.split(br)
+        k, unit = factor_wall_denominator(den, B.wall_product, B.ring.laurent_vars)
+        assert k == 14
+        res = membership(br, B)
+        want = B.ring.divide(num * unit.monomial_inverse(), B.wall_product, power=k)
+        assert res.member and want is not None
+        assert str(res.certificate) == str(want)
+
+    @pytest.mark.parametrize("flavor", ["gg", "gG"])
+    def test_a_negative_power_of_the_wall_variable_is_no_member(self, blowups, flavor):
+        # the wall x is no unit: a digit x^j*c over x^k (j < k) divides in k[x^(+-)] to
+        # c*x^(j-k), which is no ring element, and the decision must stop there
+        B = blowups[flavor]
+        wall, n = B.wall_product, B.numerators[0]
+        for p, k in ((LaurentPoly.const(1), 1), (wall + 1, 2), (wall**3 * 2 + n, 5), (n * (wall**2 + wall), 4)):
+            res = membership(RingFraction(p, wall**k), B)
+            assert not res.member and res.certificate is None, (p, k)
+            assert B.ring.divide(p, wall, power=k) is None, (p, k)
 
     @pytest.mark.parametrize("flavor", FLAVORS)
     def test_numerators_with_T(self, blowups, flavor):
@@ -282,6 +309,33 @@ class TestDigits:
         bad = CONTROLS[f"blowup:{flavor}"][1](B)
         assert not membership(ratio, bad).member
         assert membership(ratio, B).member
+
+
+@pytest.mark.parametrize("control", [False, True], ids=["ring", "control"])
+def test_membership_uses_no_division_engine(blowups, controlled, monkeypatch, control):
+    """Membership on every flavor, and on its control, with the generic division paths disabled."""
+    from blowring import groebner
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("membership reached the division engine")
+
+    rings = (controlled if control else blowups).values()
+    for B in rings:
+        B.ring.nf(B.wall_product)  # the relation basis exists before the engine goes
+    engine = {name: getattr(groebner, name) for name in ("laurent_exact_divide", "buchberger")}
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("blowring"):
+            for name, function in engine.items():  # every module that imported it by name
+                if getattr(module, name, None) is function:
+                    monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(PresentedRing, "divide", refuse)
+    for B in rings:
+        wall, n = B.wall_product, B.numerators[0]
+        chart = standard_chart(B)
+        fracs = [RingFraction(n, wall), RingFraction(n**2 + wall, wall**3), RingFraction(LaurentPoly.const(1), wall)]
+        fracs += [chart.bracket(f, g) for f, g in combinations(B.invariant_gens, 2)]
+        for frac in fracs:
+            membership(frac, B)
 
 
 class TestLaurentCertificates:

@@ -225,6 +225,25 @@ class TestCompute:
         assert code == EXIT_FAIL
 
 
+    @pytest.mark.parametrize(
+        "error",
+        ["blowring.blowup.BlowupError", "blowring.centralizer.CentralizerError", "blowring.kring.KRingError",
+         "blowring.fusion.FusionRangeError", "builtins.ValueError"],
+    )
+    def test_semantic_errors_exit_one(self, capsys, monkeypatch, error):
+        import importlib
+
+        module, name = error.rsplit(".", 1)
+        cls = getattr(importlib.import_module(module), name)
+
+        def fail(*args):
+            raise cls("no such thing")
+
+        monkeypatch.setattr("blowring.cli.cmd_compute", fail)
+        code, _, err = run_cli(capsys, "compute", "kernel", "--model", "S")
+        assert code == EXIT_FAIL and err == "error: no such thing\n"
+
+
 class TestVerify:
     def test_homology_suite_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "homology")

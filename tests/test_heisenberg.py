@@ -12,10 +12,10 @@ from blowring.heisenberg import (
     torus_monomial,
 )
 from blowring.poisson import torus_chart
-from blowring.rootdata import pgl2, sl2
+from blowring.rootdata import sl2
 from blowring.scalars import gauss
 
-from conftest import random_gaussian
+from conftest import pgl2, random_gaussian
 
 DATUM = sl2()
 ALPHA = (2,)  # weight coordinates of the root

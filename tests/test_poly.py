@@ -29,6 +29,23 @@ class TestArithmetic:
         g = LaurentPoly.var("z") - 1
         assert (f + g).support_vars() == ("y", "z")
 
+    def test_variable_names_are_distinct(self):
+        with pytest.raises(ValueError):
+            LaurentPoly(("y", "y"), {(1, 0): gauss(1)})
+        with pytest.raises(ValueError):
+            (y + z).with_vars(("y", "z", "y"))
+
+    def test_with_vars_realigns_by_name(self):
+        f = parse_poly("2*y^2*z^-1 + 3*z - y")
+        g = f.with_vars(("t", "z", "u", "y"))
+        assert g.vars == ("t", "z", "u", "y")
+        assert g.terms == {(0, -1, 0, 2): gauss(2), (0, 1, 0, 0): gauss(3), (0, 0, 0, 1): gauss(-1)}
+        assert g.with_vars(f.vars).terms == f.terms
+        assert g.with_vars(("y", "z")).vars == ("y", "z")  # t and u are unused, so they go
+        assert (y**2 + 1).with_vars(("y", "z")).with_vars(("y",)).terms == {(2,): gauss(1), (0,): gauss(1)}
+        with pytest.raises(ValueError):  # z is used
+            f.with_vars(("y",))
+
     def test_monomial_inverse(self):
         m = parse_poly("2i*y^3*z^-1")
         assert m * m.monomial_inverse() == LaurentPoly.const(1)

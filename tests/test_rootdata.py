@@ -1,6 +1,8 @@
 import pytest
 
-from blowring.rootdata import RootDatum, RootDatumError, pgl2, sl2
+from blowring.rootdata import RootDatum, RootDatumError, sl2
+
+from conftest import pgl2
 
 
 class TestRank1:
