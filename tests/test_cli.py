@@ -4,7 +4,11 @@ import sys
 
 import pytest
 
+from blowring.blowup import BlowupError
+from blowring.centralizer import CentralizerError
 from blowring.cli import EXIT_ERROR, EXIT_FAIL, EXIT_OK, main
+from blowring.fusion import FusionRangeError
+from blowring.kring import KRingError
 
 
 def run_cli(capsys, *argv):
@@ -224,20 +228,12 @@ class TestCompute:
         )
         assert code == EXIT_FAIL
 
-
     @pytest.mark.parametrize(
-        "error",
-        ["blowring.blowup.BlowupError", "blowring.centralizer.CentralizerError", "blowring.kring.KRingError",
-         "blowring.fusion.FusionRangeError", "builtins.ValueError"],
+        "error", [BlowupError, CentralizerError, KRingError, FusionRangeError, ValueError], ids=lambda e: e.__name__
     )
     def test_semantic_errors_exit_one(self, capsys, monkeypatch, error):
-        import importlib
-
-        module, name = error.rsplit(".", 1)
-        cls = getattr(importlib.import_module(module), name)
-
         def fail(*args):
-            raise cls("no such thing")
+            raise error("no such thing")
 
         monkeypatch.setattr("blowring.cli.cmd_compute", fail)
         code, _, err = run_cli(capsys, "compute", "kernel", "--model", "S")
