@@ -119,49 +119,36 @@ def _factor_equation(
 
 
 def build_blowup(datum: RootDatum, flavor: str) -> BlowupAlgebra:
-    """Construct the blow-up algebra with a saturated relation ideal."""
+    """Construct the rank-1 blow-up algebra, presented by its relation wall*T - n (lemma 1)."""
     if flavor not in FLAVORS:
         raise BlowupError(f"unknown flavor {flavor!r}; expected one of {FLAVORS}")
+    if datum.rank != 1:
+        raise BlowupError(f"blow-ups are built at rank 1 only (lemma 1), not at rank {datum.rank}")
     first_kind, second_kind = _FACTOR_KINDS[flavor]
-    rank = datum.rank
-    first_vars = _factor_vars(first_kind, _RANK1_FIRST_VAR[flavor], rank)
-    second_vars = _factor_vars(second_kind, _RANK1_SECOND_VAR[flavor], rank)
-    positive = datum.positive_root_pairs()
-    gen_names = ("T",) if len(positive) == 1 else tuple(f"T{i + 1}" for i in range(len(positive)))
-
-    numerators = []
-    walls = []
-    relations = []
-    for name, (root, coroot) in zip(gen_names, positive):
-        num = _factor_equation(first_kind, first_vars, datum, root, coroot)
-        wall = _factor_equation(second_kind, second_vars, datum, root, coroot)
-        numerators.append(num)
-        walls.append(wall)
-        relations.append(LaurentPoly.var(name) * wall - num)
+    first_vars, second_vars = (_RANK1_FIRST_VAR[flavor],), (_RANK1_SECOND_VAR[flavor],)
+    ((root, coroot),) = datum.positive_root_pairs()
+    num = _factor_equation(first_kind, first_vars, datum, root, coroot)
+    wall = _factor_equation(second_kind, second_vars, datum, root, coroot)
 
     laurent = []
     poly = []
     for kind, vars in ((first_kind, first_vars), (second_kind, second_vars)):
         (laurent if kind in ("group", "dual-group") else poly).extend(vars)
-    poly.extend(gen_names)
-
-    wall_product = prod(walls, start=LaurentPoly.const(1))
-    ring = PresentedRing(laurent, poly, relations).saturated(wall_product)
+    poly.append("T")
 
     algebra = BlowupAlgebra(
         flavor=flavor,
         datum=datum,
         first_vars=first_vars,
         second_vars=second_vars,
-        gen_names=gen_names,
-        numerators=tuple(numerators),
-        walls=tuple(walls),
-        wall_product=wall_product,
-        ring=ring,
+        gen_names=("T",),
+        numerators=(num,),
+        walls=(wall,),
+        wall_product=wall,
+        ring=PresentedRing(laurent, poly, [LaurentPoly.var("T") * wall - num]),
     )
-    if rank == 1:
-        algebra.weyl = _rank1_weyl_action(algebra, first_kind, second_kind)
-        algebra.invariant_gens = _rank1_invariant_generators(algebra, first_kind, second_kind)
+    algebra.weyl = _rank1_weyl_action(algebra, first_kind, second_kind)
+    algebra.invariant_gens = _rank1_invariant_generators(algebra, first_kind, second_kind)
     return algebra
 
 

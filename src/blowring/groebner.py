@@ -393,19 +393,16 @@ class Ideal:
         return Elimination(drop, kept, self.gens, ()).kept()
 
     def saturate(self, f: LaurentPoly) -> "Ideal":
-        """I : f^infinity, eliminated from J = I + (f*w - 1) with w auxiliary.
+        """I : f^infinity, eliminated from I + (f*w - 1) with w auxiliary.
 
-        J = (I : f^infinity) + (f*w - 1), so ``_inverted`` keeps J to divide by f.
-        The basis comes from J's under grevlex (see ``kept``), else on first use.
+        The basis comes from that elimination under grevlex (see ``kept``), else on first use.
         """
         f = self.ring.align(f)
         if not f.terms:
             raise ValueError("cannot saturate by zero")
-        inverted = Elimination((), self.ring.vars, self.gens, [f])
-        sat = inverted.kept()
+        sat = Elimination((), self.ring.vars, self.gens, [f]).kept()
         if not isinstance(self.ring.order, GrevLex):
             sat = Ideal(self.ring, sat.gens)
-        sat._inverted = inverted
         return sat
 
     def __repr__(self):

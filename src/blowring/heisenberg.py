@@ -111,9 +111,6 @@ class HeisenbergElement:
 
     # -- structure ------------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __eq__(self, other):
         if not isinstance(other, HeisenbergElement):
             return NotImplemented

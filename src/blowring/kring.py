@@ -2,7 +2,7 @@
 
 Abstract: polynomials in a, b, c modulo the cubic hypersurface relation.
 Localized: Weyl-invariant wall fractions in the torus coordinates y, z.
-Blow-up: elements of the saturated GG blow-up quotient.
+Blow-up: elements of the GG blow-up quotient A[T]/(wall*T - n).
 
 The basis classes v(n)_m are formal symbols; only the entries the
 generator equations determine are mapped to polynomials, and everything else

@@ -179,7 +179,7 @@ def bracket_closure_check(
 
     The generators are the W-invariant fraction generators of the undotted
     blow-up; their brackets are automatically W-invariant, so membership in
-    the saturated quotient certifies closure of the Poisson structure.
+    the blow-up quotient certifies closure of the Poisson structure.
     Failures are reported per pair, never silently dropped.
     """
     if chart is None:

@@ -30,7 +30,6 @@ class PresentedRing:
         poly_vars: Sequence[str],
         relations: Sequence[LaurentPoly] = (),
         grading: Mapping[str, int] | None = None,
-        _ideal: Ideal | None = None,
     ):
         self.laurent_vars = tuple(laurent_vars)
         self.poly_vars = tuple(poly_vars)
@@ -42,10 +41,8 @@ class PresentedRing:
         self._slot = {v: 2 * i for i, v in enumerate(self.laurent_vars)}
         n = 2 * len(self.laurent_vars)
         self._slot.update((v, n + i) for i, v in enumerate(self.poly_vars))
-        if _ideal is None:
-            units = [LaurentPoly.var(v) * LaurentPoly.var(v + "'") - 1 for v in self.laurent_vars]
-            _ideal = Ideal(PolyRing(self._ambient), units + [self._encode(r) for r in relations])
-        self.ideal = _ideal
+        units = [LaurentPoly.var(v) * LaurentPoly.var(v + "'") - 1 for v in self.laurent_vars]
+        self.ideal = Ideal(PolyRing(self._ambient), units + [self._encode(r) for r in relations])
         self._division_cache: dict = {}
         self._oracles: dict = {}
 
@@ -116,20 +113,6 @@ class PresentedRing:
 
     def equal(self, f: LaurentPoly, g: LaurentPoly) -> bool:
         return self.nf(f - g).is_zero()
-
-    # -- saturation -----------------------------------------------------------
-
-    def saturated(self, by: LaurentPoly) -> "PresentedRing":
-        """Same presentation with the relation ideal saturated at ``by``.
-
-        With ``by`` inverted the saturation is the ideal J = I + (by*w - 1) it was
-        eliminated from, so J's basis is the new ring's context for dividing by ``by``.
-        """
-        by = self._encode(by)
-        sat = self.ideal.saturate(by)
-        ring = PresentedRing(self.laurent_vars, self.poly_vars, self.relations, self.grading, sat)
-        ring._division_cache[str(by)] = sat._inverted
-        return ring
 
     # -- division with certificate ---------------------------------------------
 
@@ -203,7 +186,7 @@ class SubalgebraOracle:
             raise ValueError("one tag per generator required")
         self.ring = ring
         self.tags = tuple(tags)
-        gens = list(ring.ideal.gens)
+        gens = list(ring.ideal.groebner())
         for tag, gen in zip(self.tags, generators):
             gens.append(LaurentPoly.var(tag) - ring._encode(gen))
         self.ideal = Elimination(ring._ambient, self.tags, gens, ())

@@ -19,6 +19,7 @@ from blowring.fractions import RingFraction
 from blowring.poisson import standard_chart
 from blowring.poly import LaurentPoly, parse_poly
 from blowring.rings import PresentedRing
+from blowring.rootdata import RootDatum
 from blowring.verify import CONTROLS
 
 from conftest import sz_agree
@@ -77,17 +78,11 @@ class TestConstruction:
             build_blowup(sl2_datum, "XX")
 
     def test_rank_two_construction(self):
-        # one wall generator per positive root, in simple-root coordinates
-        from blowring.rootdata import RootDatum
-
+        # refused: lemma 1 (no saturation needed) is a rank-1 statement
         a2 = RootDatum([[2, -1], [-1, 2]], "simply-connected")
-        B = build_blowup(a2, "gg")
-        assert len(B.gen_names) == 3
-        ratios = {f"({n}) / ({w})" for n, w in zip(B.numerators, B.walls)}
-        assert ratios == {"(u1) / (x1)", "(u2) / (x2)", "(u1 + u2) / (x1 + x2)"}
-        for name, num, wall in zip(B.gen_names, B.numerators, B.walls):
-            assert B.ring.nf(LaurentPoly.var(name) * wall - num).is_zero()
-        assert B.weyl is None and B.invariant_gens == ()
+        for flavor in FLAVORS:
+            with pytest.raises(BlowupError, match="rank 1"):
+                build_blowup(a2, flavor)
 
 
 class TestMembership:
@@ -288,17 +283,20 @@ class TestDigits:
     def test_relation_must_vanish_in_the_ring(self, blowups):
         B = blowups["GG"]
         # the relation is recorded, but the ideal is that of the ring without it
-        plain = PresentedRing(B.ring.laurent_vars, B.ring.poly_vars).ideal
-        ring = PresentedRing(B.ring.laurent_vars, B.ring.poly_vars, B.ring.relations, _ideal=plain)
+        ring = PresentedRing(B.ring.laurent_vars, B.ring.poly_vars, B.ring.relations)
+        ring.ideal = PresentedRing(B.ring.laurent_vars, B.ring.poly_vars).ideal
         with pytest.raises(BlowupError):
             membership(RingFraction(B.numerators[0], B.walls[0]), replace(B, ring=ring))
 
-    def test_rank_two_is_refused(self):
-        from blowring.rootdata import RootDatum
+    def test_rank_two_is_refused(self, monkeypatch):
+        # refused before any ring or root pair is built
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a part of a rank-2 blow-up")
 
-        B = build_blowup(RootDatum([[2, -1], [-1, 2]], "simply-connected"), "gg")
+        monkeypatch.setattr(PresentedRing, "__init__", refuse)
+        monkeypatch.setattr(RootDatum, "positive_root_pairs", refuse)
         with pytest.raises(BlowupError):
-            membership(RingFraction(LaurentPoly.var("u1"), LaurentPoly.var("x1")), B)
+            build_blowup(RootDatum([[2, -1], [-1, 2]], "simply-connected"), "gg")
 
     @pytest.mark.parametrize("flavor", FLAVORS)
     def test_control_reads_its_own_relation(self, sl2_datum, flavor):

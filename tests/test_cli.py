@@ -313,7 +313,7 @@ class TestTermBudget:
             ("--term-cap", "3", "verify", "steinberg"),
             ("--term-cap", "5", "verify", "kring"),
             ("--term-cap", "5", "verify", "centralizer"),
-            ("--term-cap", "5", "compute", "multiply", "c", "a*b-c"),
+            ("--term-cap", "3", "compute", "multiply", "c", "a*b-c"),
             ("--term-cap", "5", "compute", "kernel", "--model", "S"),
             ("--term-cap", "5", "compute", "invariants", "--model", "S", "--which", "iota,jmath"),
         ],

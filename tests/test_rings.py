@@ -5,10 +5,11 @@ reference reduces the whole encoded element by the oracle's basis in one go
 (``Elimination.certificate``). Normal forms modulo a Gröbner basis are unique
 and linear, so the two must agree on members and non-members alike.
 
-A blow-up's ring is saturated at the wall. The saturation's elimination
-basis is also the basis that divides by the wall, and its wall-free part is
-the ring's basis, so building a blow-up and dividing by its wall run
-Buchberger once.
+A rank-1 blow-up's ring is presented by its relation wall*T - n alone:
+by lemma 1 of ``blowring.blowup`` saturating it at the wall adds nothing.
+So its reduced basis equals that of the saturation, and building a blow-up,
+or a ``blowup:<flavor>`` control, and deciding a first membership run
+Buchberger once and build no elimination ideal.
 """
 
 import pytest
@@ -23,6 +24,7 @@ from blowring.poly import LaurentPoly, parse_poly
 from blowring.rings import PresentedRing
 from blowring.rootdata import sl2
 from blowring.scalars import gauss
+from blowring.verify import CONTROLS
 
 
 @pytest.fixture(scope="module")
@@ -97,20 +99,24 @@ def test_rewrite_sum_is_bounded_by_the_term_cap():
         assert len(oracle.rewrite(f).terms) == 10
 
 
-@pytest.mark.parametrize("flavor", FLAVORS)
-def test_saturation_basis_is_built_once(flavor, monkeypatch):
+def _refuse(*args, **kwargs):
+    raise AssertionError("an elimination ideal was built")
+
+
+# the relation ideal is its own saturation, so its basis is the saturation's
+@pytest.mark.parametrize("name", [*FLAVORS, *(f"blowup:{flavor}" for flavor in FLAVORS)])
+def test_saturation_basis_is_built_once(name, monkeypatch):
+    flavor = name.removeprefix("blowup:")
     calls = []
     inner = groebner.buchberger
     monkeypatch.setattr(groebner, "buchberger", lambda *a, **k: calls.append(1) or inner(*a, **k))
+    monkeypatch.setattr(groebner.Elimination, "__init__", _refuse)
     B = build_blowup(sl2(), flavor)
-    ring = B.ring
-    contexts = dict(ring._division_cache)
+    if name != flavor:
+        B = CONTROLS[name][1](B)
     res = membership(RingFraction(B.numerators[0], B.walls[0]), B)
-    assert res.member
+    assert res.member == (name == flavor)
     assert len(calls) == 1
-    assert ring._division_cache == contexts
     monkeypatch.undo()
-    assert ring.ideal.groebner() == groebner.buchberger(ring.ideal.gens, ring.ideal.ring)
-    (context,) = contexts.values()
-    fresh = groebner.Elimination((), ring._ambient, ring.ideal.gens, [ring._encode(B.wall_product)])
-    assert context.groebner() == fresh.groebner()
+    ideal = B.ring.ideal
+    assert ideal.groebner() == ideal.saturate(B.ring._encode(B.wall_product)).groebner()
