@@ -1,9 +1,9 @@
-"""Affine blow-up algebras of a pair of Cartan factors at the diagonal walls.
+"""Affine blow-up algebras of a pair of rank-1 Cartan factors at the diagonal wall.
 
-A blow-up algebra adjoins, for each positive root, the wall ratio n/wall =
-(first-factor equation)/(second-factor equation) to the coordinate ring A of
-the product of the two factors. At rank 1, n is monic in the first variable
-f alone (prime to f where f is a unit) and the wall is a non-unit in the
+A blow-up algebra adjoins the wall ratio n/wall = (first-factor
+equation)/(second-factor equation) of the positive root to the coordinate
+ring A of the product of the two factors. n is monic in the first variable f
+alone (prime to f where f is a unit) and the wall is a non-unit in the
 second variable s alone, so (wall, n) is a regular sequence in A. Two lemmas
 follow:
 1. B = A[T]/(wall*T - n) is already the domain A[n/wall]; saturating at the
@@ -41,17 +41,14 @@ from .scalars import ONE, ZERO, gauss
 
 FLAVORS = ("gg", "Gg", "gG", "GG", "GGv")
 
-# (first factor kind, second factor kind); kinds: lie | group | dual-group
-_FACTOR_KINDS = {
-    "gg": ("lie", "lie"),
-    "Gg": ("lie", "group"),
-    "gG": ("group", "lie"),
-    "GG": ("group", "group"),
-    "GGv": ("dual-group", "group"),
+# flavor -> ((kind, variable) of the first factor, of the second); kinds: lie | group | dual-group
+_FACTORS = {
+    "gg": (("lie", "u"), ("lie", "x")),
+    "Gg": (("lie", "x"), ("group", "z")),
+    "gG": (("group", "y"), ("lie", "x")),
+    "GG": (("group", "y"), ("group", "z")),
+    "GGv": (("dual-group", "t"), ("group", "z")),
 }
-
-_RANK1_FIRST_VAR = {"gg": "u", "Gg": "x", "gG": "y", "GG": "y", "GGv": "t"}
-_RANK1_SECOND_VAR = {"gg": "x", "Gg": "z", "gG": "x", "GG": "z", "GGv": "z"}
 
 
 class BlowupError(ValueError):
@@ -79,83 +76,46 @@ class BlowupAlgebra:
         return f"<BlowupAlgebra {self.flavor}: {gens}>"
 
 
-def _factor_vars(kind: str, base: str, rank: int) -> tuple[str, ...]:
-    if rank == 1:
-        return (base,)
-    return tuple(f"{base}{i + 1}" for i in range(rank))
-
-
-def _char_monomial(vars: Sequence[str], vec: Sequence[int]) -> LaurentPoly:
-    return LaurentPoly.monomial(ONE, dict(zip(vars, vec))).with_vars(tuple(vars))
-
-
-def _linear_form(vars: Sequence[str], vec: Sequence[int]) -> LaurentPoly:
-    out = LaurentPoly.zero(tuple(vars))
-    for v, c in zip(vars, vec):
-        if c:
-            out = out + LaurentPoly.var(v) * c
-    return out
-
-
-def _factor_equation(
-    kind: str, vars, datum: RootDatum, root: Sequence[int], coroot: Sequence[int]
-):
-    """The wall equation of a root on one factor: alpha - eps (eps = 1 on tori).
-
-    Lie-algebra factors use simple-root functionals as linear coordinates, so
-    alpha(x) = x at rank 1 and a positive root is its simple-coefficient
-    combination in general.
-    """
+def _wall_equation(kind: str, v: str, datum: RootDatum, sign: int = 1) -> LaurentPoly:
+    """The equation of the wall of sign*alpha on one factor with coordinate v: the
+    simple-root functional v on a Lie algebra, v^root - 1 on the torus and
+    v^coroot - 1 on the dual torus."""
     if kind == "lie":
-        coeffs = datum._simple_coefficients(root)
-        ints = []
-        for c in coeffs:
-            if c.denominator != 1:
-                raise BlowupError("non-integral simple coefficients for a root")
-            ints.append(c.numerator)
-        return _linear_form(vars, ints)
-    vec = coroot if kind == "dual-group" else root
-    return _char_monomial(vars, vec) - 1
+        return LaurentPoly.var(v) * sign
+    (e,) = datum.coroot if kind == "dual-group" else datum.root
+    return LaurentPoly.monomial(ONE, {v: sign * e}) - 1
 
 
 def build_blowup(datum: RootDatum, flavor: str) -> BlowupAlgebra:
-    """Construct the rank-1 blow-up algebra, presented by its relation wall*T - n (lemma 1)."""
+    """Construct the blow-up algebra, presented by its relation wall*T - n (lemma 1)."""
     if flavor not in FLAVORS:
         raise BlowupError(f"unknown flavor {flavor!r}; expected one of {FLAVORS}")
-    if datum.rank != 1:
-        raise BlowupError(f"blow-ups are built at rank 1 only (lemma 1), not at rank {datum.rank}")
-    first_kind, second_kind = _FACTOR_KINDS[flavor]
-    first_vars, second_vars = (_RANK1_FIRST_VAR[flavor],), (_RANK1_SECOND_VAR[flavor],)
-    ((root, coroot),) = datum.positive_root_pairs()
-    num = _factor_equation(first_kind, first_vars, datum, root, coroot)
-    wall = _factor_equation(second_kind, second_vars, datum, root, coroot)
-
-    laurent = []
-    poly = []
-    for kind, vars in ((first_kind, first_vars), (second_kind, second_vars)):
-        (laurent if kind in ("group", "dual-group") else poly).extend(vars)
-    poly.append("T")
+    factors = (first_kind, f), (second_kind, s) = _FACTORS[flavor]
+    num = _wall_equation(first_kind, f, datum)
+    wall = _wall_equation(second_kind, s, datum)
+    laurent = [v for kind, v in factors if kind != "lie"]
+    poly = [v for kind, v in factors if kind == "lie"] + ["T"]
 
     algebra = BlowupAlgebra(
         flavor=flavor,
         datum=datum,
-        first_vars=first_vars,
-        second_vars=second_vars,
+        first_vars=(f,),
+        second_vars=(s,),
         gen_names=("T",),
         numerators=(num,),
         walls=(wall,),
         wall_product=wall,
         ring=PresentedRing(laurent, poly, [LaurentPoly.var("T") * wall - num]),
     )
-    algebra.weyl = _rank1_weyl_action(algebra, first_kind, second_kind)
-    algebra.invariant_gens = _rank1_invariant_generators(algebra, first_kind, second_kind)
+    algebra.weyl = _weyl_action(algebra, factors)
+    algebra.invariant_gens = _invariant_generators(algebra)
     return algebra
 
 
-def _rank1_weyl_action(B: BlowupAlgebra, first_kind: str, second_kind: str) -> GroupAction:
+def _weyl_action(B: BlowupAlgebra, factors) -> GroupAction:
     """w acts by inversion/negation on the factors; T picks up the unit twist."""
     images: dict = {}
-    for kind, (v,) in ((first_kind, B.first_vars), (second_kind, B.second_vars)):
+    for kind, v in factors:
         if kind == "lie":
             images[v] = (gauss(-1), {v: 1})
         else:
@@ -178,7 +138,7 @@ def _rank1_weyl_action(B: BlowupAlgebra, first_kind: str, second_kind: str) -> G
     return GroupAction([Substitution(images)])
 
 
-def _rank1_invariant_generators(B, first_kind, second_kind) -> tuple[RingFraction, ...]:
+def _invariant_generators(B: BlowupAlgebra) -> tuple[RingFraction, ...]:
     """W-invariant fraction generators of the undotted blow-up B = B-dot/W."""
     (f,) = B.first_vars
     (s,) = B.second_vars
@@ -389,88 +349,43 @@ def membership(frac: RingFraction, B: BlowupAlgebra) -> MembershipResult:
 # -- Denis conditions --------------------------------------------------------------
 
 
-def denis_check(
-    components: Sequence[LaurentPoly] | LaurentPoly, datum: RootDatum, flavor: str
-) -> bool:
+def denis_check(unit: LaurentPoly, datum: RootDatum, flavor: str) -> bool:
     """The section constraint cutting the blow-up out of the naive product.
 
-    ``components`` gives the unit-valued map in second-factor coordinates,
-    one scalar-times-monomial per first-factor coordinate. Flavors over a
-    Lie-algebra fiber carry no constraint and return True.
+    ``unit`` is the unit-valued map in the second-factor coordinate s, a
+    scalar c times s^e. Composed with the first factor's root character (its
+    coroot's on a dual torus), of exponent a, it is c^a * s^(e*a): over a
+    torus base it must be trivial on the wall, c^a = 1 and e*a a multiple of
+    the root; over a Lie-algebra base units are constants, c^a = 1 and e = 0.
+    A variable other than s raises. Flavors over a Lie-algebra fiber carry no
+    constraint and return True.
     """
     if flavor not in FLAVORS:
         raise BlowupError(f"unknown flavor {flavor!r}")
-    first_kind, second_kind = _FACTOR_KINDS[flavor]
+    (first_kind, _), (second_kind, s) = _FACTORS[flavor]
     if first_kind == "lie":
         return True
-    if isinstance(components, LaurentPoly):
-        components = [components]
-    if len(components) != datum.rank:
-        raise BlowupError("one component per first-factor coordinate required")
-    parts = []
-    for comp in components:
-        if not comp.is_monomial():
-            raise BlowupError(f"component {comp} is not a unit (scalar times monomial)")
-        ((exps, coeff),) = comp.terms.items()
-        named = {v: e for v, e in zip(comp.vars, exps)}
-        parts.append((coeff, named))
-
-    all_second_vars = sorted({v for _, named in parts for v in named})
-    for root, coroot in datum.positive_root_pairs():
-        target = coroot if first_kind == "dual-group" else root
-        scalar = ONE
-        composed = [0] * len(all_second_vars)
-        for (coeff, named), t in zip(parts, target):
-            if t == 0:
-                continue
-            scalar = scalar * coeff ** t
-            for v, e in named.items():
-                composed[all_second_vars.index(v)] += e * t
-        if second_kind == "group":
-            # composed character must be trivial on the wall: a Z-multiple of
-            # the (rank-1) second-factor root character, with scalar 1
-            wall_vec = _second_factor_vector(datum, root, all_second_vars, flavor)
-            if not _is_integer_multiple(composed, wall_vec):
-                return False
-            if scalar != ONE:
-                return False
-        else:
-            # lie-algebra base: units are constants, condition is scalar = 1
-            if any(composed) or scalar != ONE:
-                return False
-    return True
-
-
-def _second_factor_vector(datum, root, var_names, flavor):
-    second_vars = _factor_vars("group", _RANK1_SECOND_VAR[flavor], datum.rank)
-    vec = [0] * len(var_names)
-    for v, c in zip(second_vars, root):
-        if v in var_names:
-            vec[var_names.index(v)] = c
-        elif c:
-            raise BlowupError(f"component uses unknown second-factor variable layout ({v})")
-    return vec
-
-
-def _is_integer_multiple(vec: Sequence[int], base: Sequence[int]) -> bool:
-    if not any(base):
-        return not any(vec)
-    pivot = next(i for i, b in enumerate(base) if b)
-    if vec[pivot] % base[pivot]:
-        return False
-    k = vec[pivot] // base[pivot]
-    return all(v == k * b for v, b in zip(vec, base))
+    if not unit.is_monomial():
+        raise BlowupError(f"{unit} is not a unit (scalar times monomial)")
+    ((exps, c),) = unit.terms.items()
+    named = {v: e for v, e in zip(unit.vars, exps) if e}
+    if named.keys() - {s}:
+        raise BlowupError(f"{unit} names {sorted(named.keys() - {s})}, not only the second-factor variable {s}")
+    e = named.get(s, 0)
+    (a,) = datum.coroot if first_kind == "dual-group" else datum.root
+    (root,) = datum.root
+    trivial = (e * a) % root == 0 if second_kind == "group" else e == 0
+    return trivial and c**a == ONE
 
 
 # -- discriminant and the unit identity ----------------------------------------------
 
 
 def discriminant(datum: RootDatum, flavor: str) -> LaurentPoly:
-    """prod over all roots of (alpha - 1) (torus base) or alpha (Lie base)."""
-    first_kind, second_kind = _FACTOR_KINDS[flavor]
-    vars = _factor_vars(second_kind, _RANK1_SECOND_VAR[flavor], datum.rank)
-    factors = (_factor_equation(second_kind, vars, datum, r, c) for r, c in datum.root_pairs())
-    return prod(factors, start=LaurentPoly.const(1, vars))
+    """The product of the second factor's wall equations at alpha and at -alpha:
+    (alpha - 1)(alpha^-1 - 1) on a torus base, -alpha^2 on a Lie base."""
+    _, (kind, s) = _FACTORS[flavor]
+    return _wall_equation(kind, s, datum) * _wall_equation(kind, s, datum, -1)
 
 
 def unit_comparison(chars: Sequence[LaurentPoly]) -> tuple[LaurentPoly, LaurentPoly, LaurentPoly]:

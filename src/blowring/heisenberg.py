@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from .poisson import torus_var_names
 from .poly import LaurentPoly
 from .rootdata import RootDatum
 from .scalars import ONE, ZERO, GaussianRational, gauss
@@ -156,9 +155,6 @@ def poisson_from_q(u: HeisenbergElement, v: HeisenbergElement) -> LaurentPoly:
     the divisibility automatic and the check below keeps it honest.
     """
     comm = u.commutator(v)
-    rank = u.datum.rank
-    tvars, zvars = torus_var_names(rank)
-    vars = tvars + zvars
     grouped: dict[tuple[tuple[int, ...], tuple[int, ...]], list[tuple[int, GaussianRational]]] = {}
     for (n, lam, mu), coeff in comm.terms.items():
         grouped.setdefault((lam, mu), []).append((n, coeff))
@@ -174,10 +170,9 @@ def poisson_from_q(u: HeisenbergElement, v: HeisenbergElement) -> LaurentPoly:
             slope = slope + c * n
         if slope:
             terms[lam + mu] = slope
-    return LaurentPoly(vars, terms)
+    return LaurentPoly(("t", "z"), terms)
 
 
 def torus_monomial(datum: RootDatum, coweight, weight) -> LaurentPoly:
     """e^lam e^mu as a monomial on the dual-torus-times-torus chart."""
-    tvars, zvars = torus_var_names(datum.rank)
-    return LaurentPoly(tvars + zvars, {tuple(coweight) + tuple(weight): ONE})
+    return LaurentPoly(("t", "z"), {tuple(coweight) + tuple(weight): ONE})

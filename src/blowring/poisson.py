@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .blowup import BlowupAlgebra, membership
+from .blowup import _FACTORS, BlowupAlgebra, membership
 from .fractions import RingFraction
 from .poly import LaurentPoly
 from .rootdata import RootDatum
@@ -82,19 +82,13 @@ class PoissonChart:
 
 
 def standard_chart(B: BlowupAlgebra, kappa: GaussianRational | int = 1) -> PoissonChart:
-    """The rank-1 chart pairing the two factors.
+    """The chart pairing the two factors.
 
     The base bracket is {l(first), l(second)} = -kappa, the orientation in
     which the q-deformation commutator of the convolution ring reproduces the
     bracket at kappa = 1.
     """
-    if B.datum.rank != 1:
-        raise ChartError("standard charts are defined at rank 1")
-    from .blowup import _FACTOR_KINDS
-
-    first_kind, second_kind = _FACTOR_KINDS[B.flavor]
-    (f,) = B.first_vars
-    (s,) = B.second_vars
+    (first_kind, f), (second_kind, s) = _FACTORS[B.flavor]
     kinds = {
         f: "linear" if first_kind == "lie" else "log",
         s: "linear" if second_kind == "lie" else "log",
@@ -104,26 +98,13 @@ def standard_chart(B: BlowupAlgebra, kappa: GaussianRational | int = 1) -> Poiss
 
 
 def torus_chart(datum: RootDatum, kappa: GaussianRational | int = 1) -> PoissonChart:
-    """The dual-torus-times-torus chart in dual lattice bases.
+    """The dual-torus-times-torus chart, coordinates t and z for every rank-1 ``datum``.
 
-    Base bracket {log t_i, log z_j} = -kappa * delta_ij, matching the
-    q-deformation bracket of the loop-rotation Heisenberg algebra at
-    kappa = 1.
+    Base bracket {log t, log z} = -kappa, matching the q-deformation bracket
+    of the loop-rotation Heisenberg algebra at kappa = 1.
     """
-    tvars, zvars = torus_var_names(datum.rank)
-    kinds = {v: "log" for v in tvars + zvars}
     k = kappa if isinstance(kappa, GaussianRational) else gauss(kappa)
-    base = {(t, z): -k for t, z in zip(tvars, zvars)}
-    return PoissonChart(kinds, base)
-
-
-def torus_var_names(rank: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    if rank == 1:
-        return ("t",), ("z",)
-    return (
-        tuple(f"t{i + 1}" for i in range(rank)),
-        tuple(f"z{i + 1}" for i in range(rank)),
-    )
+    return PoissonChart({"t": "log", "z": "log"}, {("t", "z"): -k})
 
 
 # -- closure reports -----------------------------------------------------------------

@@ -37,7 +37,7 @@ def evaluate(f: LaurentPoly, point: dict[str, GaussianRational]) -> GaussianRati
 
 def pgl2() -> RootDatum:
     """Rank 1 adjoint: X = Z*alpha, Y = Z*omegach, alphach = 2*omegach."""
-    return RootDatum([[2]], "adjoint")
+    return RootDatum((1,), (2,))
 
 
 def random_point(vars, rng: random.Random, avoid=()) -> dict[str, GaussianRational]:

@@ -19,7 +19,6 @@ from blowring.fractions import RingFraction
 from blowring.poisson import standard_chart
 from blowring.poly import LaurentPoly, parse_poly
 from blowring.rings import PresentedRing
-from blowring.rootdata import RootDatum
 from blowring.verify import CONTROLS
 
 from conftest import sz_agree
@@ -76,13 +75,6 @@ class TestConstruction:
     def test_unknown_flavor(self, sl2_datum):
         with pytest.raises(BlowupError):
             build_blowup(sl2_datum, "XX")
-
-    def test_rank_two_construction(self):
-        # refused: lemma 1 (no saturation needed) is a rank-1 statement
-        a2 = RootDatum([[2, -1], [-1, 2]], "simply-connected")
-        for flavor in FLAVORS:
-            with pytest.raises(BlowupError, match="rank 1"):
-                build_blowup(a2, flavor)
 
 
 class TestMembership:
@@ -288,16 +280,6 @@ class TestDigits:
         with pytest.raises(BlowupError):
             membership(RingFraction(B.numerators[0], B.walls[0]), replace(B, ring=ring))
 
-    def test_rank_two_is_refused(self, monkeypatch):
-        # refused before any ring or root pair is built
-        def refuse(*args, **kwargs):
-            raise AssertionError("built a part of a rank-2 blow-up")
-
-        monkeypatch.setattr(PresentedRing, "__init__", refuse)
-        monkeypatch.setattr(RootDatum, "positive_root_pairs", refuse)
-        with pytest.raises(BlowupError):
-            build_blowup(RootDatum([[2, -1], [-1, 2]], "simply-connected"), "gg")
-
     @pytest.mark.parametrize("flavor", FLAVORS)
     def test_control_reads_its_own_relation(self, sl2_datum, flavor):
         # a blow-up of its own, so that its context is certainly built before the control's
@@ -385,6 +367,24 @@ class TestDenis:
         with pytest.raises(BlowupError):
             denis_check(parse_poly("z + 1"), sl2_datum, "GGv")
 
+    @pytest.mark.parametrize("flavor", ["gG", "GG", "GGv"])
+    def test_constant_is_judged_by_its_scalar(self, sl2_datum, flavor):
+        # the trivial character: only its scalar can fail
+        assert denis_check(parse_poly("1"), sl2_datum, flavor)
+        assert not denis_check(parse_poly("2"), sl2_datum, flavor)
+
+    @pytest.mark.parametrize("flavor", ["gG", "GG", "GGv"])
+    def test_foreign_variable_raises(self, sl2_datum, flavor):
+        s = "x" if flavor == "gG" else "z"
+        for text in ("y^2", f"{s}^2*y", "w", "z^2" if flavor == "gG" else "x^2"):
+            with pytest.raises(BlowupError, match="second-factor variable"):
+                denis_check(parse_poly(text), sl2_datum, flavor)
+
+    @pytest.mark.parametrize("flavor", ["gg", "Gg"])
+    def test_lie_fiber_takes_anything(self, sl2_datum, flavor):
+        for text in ("1", "2", "y^2", "z^2*y", "z + 1"):
+            assert denis_check(parse_poly(text), sl2_datum, flavor)
+
 
 class TestDiscriminant:
     def test_group_base(self, sl2_datum):
@@ -399,6 +399,52 @@ class TestDiscriminant:
             disc = discriminant(B.datum, flavor)
             (w,) = B.weyl.generators
             assert w(disc) == disc, flavor
+
+
+# Construction and Denis verdicts per flavor, pinned from the rank-generic code this
+# module replaced: (discriminant, ring's (laurent_vars, poly_vars), numerator, wall),
+# each polynomial as (text, variable tuple).
+PINNED = {
+    "gg": (("-x^2", ("x",)), ((), ("u", "x", "T")), ("u", ("u",)), ("x", ("x",))),
+    "Gg": (("-z^2 + 2 - z^-2", ("z",)), (("z",), ("x", "T")), ("x", ("x",)), ("z^2 - 1", ("z",))),
+    "gG": (("-x^2", ("x",)), (("y",), ("x", "T")), ("y^2 - 1", ("y",)), ("x", ("x",))),
+    "GG": (("-z^2 + 2 - z^-2", ("z",)), (("y", "z"), ("T",)), ("y^2 - 1", ("y",)), ("z^2 - 1", ("z",))),
+    "GGv": (("-z^2 + 2 - z^-2", ("z",)), (("t", "z"), ("T",)), ("t - 1", ("t",)), ("z^2 - 1", ("z",))),
+}
+DENIS_INPUTS = ("z^2", "z", "2*z^2", "z^-2", "z^4", "-z^2", "i*z^2", "z^3", "x", "z + 1")
+# verdict per input, BlowupError for a raise; gG's z-monomials name a foreign variable
+# and are left to TestDenis
+PINNED_DENIS = {
+    "gg": (True,) * 10,
+    "Gg": (True,) * 10,
+    "gG": (None,) * 8 + (False, BlowupError),
+    "GG": (True, True, False, True, True, True, False, True, BlowupError, BlowupError),
+    "GGv": (True, False, False, True, True, False, False, False, BlowupError, BlowupError),
+}
+
+
+def _text(p):
+    return str(p), p.vars
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_pinned_construction(sl2_datum, blowups, flavor):
+    disc, ring_vars, num, wall = PINNED[flavor]
+    B = blowups[flavor]
+    assert _text(discriminant(sl2_datum, flavor)) == disc
+    assert (B.ring.laurent_vars, B.ring.poly_vars) == ring_vars
+    assert [_text(p) for p in B.numerators] == [num]
+    assert [_text(p) for p in B.walls] == [wall]
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_pinned_denis_verdicts(sl2_datum, flavor):
+    for text, want in zip(DENIS_INPUTS, PINNED_DENIS[flavor]):
+        if want is BlowupError:
+            with pytest.raises(BlowupError):
+                denis_check(parse_poly(text), sl2_datum, flavor)
+        elif want is not None:
+            assert denis_check(parse_poly(text), sl2_datum, flavor) is want, text
 
 
 class TestUnitIdentity:

@@ -12,10 +12,10 @@ only the arithmetic of ``poly.py`` and ``groebner.py``, which builds clean
 terms, may name it.
 
 Every public function, class and method is named somewhere in ``src`` outside
-its own definition, or re-exported by the package: a name only tests call is
-dead code. The scan matches methods by bare name, so the method names that
-several classes define are pinned: a new one fails until each owner's caller
-is checked by hand.
+its own definition and the package's re-exports: a name only tests call is
+dead code, even if ``__init__.py`` re-exports it. The scan matches methods by
+bare name, so the method names that several classes define are pinned: a new
+one fails until each owner's caller is checked by hand.
 """
 
 import ast
@@ -159,15 +159,10 @@ def _public_definitions(tree):
 
 def test_every_public_name_has_a_caller_in_src():
     """A public name that src names nowhere but in its own definition is dead code."""
-    trees = {p.name: _tree(p.name) for p in SRC.glob("*.py")}
-    init = trees.pop("__init__.py")
-    exported = {alias.name for node in ast.walk(init) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    trees = {p.name: _tree(p.name) for p in SRC.glob("*.py") if p.name != "__init__.py"}
     uses = {name for tree in trees.values() for name in _uses(tree)}
     uncalled = {
-        qualified
-        for tree in trees.values()
-        for qualified, name in _public_definitions(tree)
-        if name not in uses and name not in exported
+        qualified for tree in trees.values() for qualified, name in _public_definitions(tree) if name not in uses
     }
     assert uncalled == UNCALLED_ALLOWED, f"public names no src module calls: {sorted(uncalled)}"
 
