@@ -17,6 +17,17 @@ with n = f^d + sum_(t<d) c_t f^t: the digits come from the row operations
 row[i-d+t] -= c_t * row[i], top row first, and since the wall lies in s
 alone, wall^(k-j) divides r_j iff it divides each of r_j's d rows, one
 dense division of a polynomial in s each.
+3. Write an element of B as sum_j T^j c_j with c_j in A, and call it reduced
+   when each c_j, j >= 1, is reduced modulo the wall in s: its s-degrees lie
+   in [low, low + deg wall) on a torus base (low the wall's lowest degree)
+   and in [0, deg wall) on a Lie base. Every element has one reduced form
+   (its wall-adic form). It exists: from the top power of T down, c_j =
+   wall*a + b, row by row in s, and T^j c_j = T^j b + T^(j-1) n*a in B. It is
+   unique: a difference of two reduced forms that is 0 in B is
+   (wall*T - n)*h in A[T]; if h != 0, its top coefficient h_e makes the
+   reduced c_(e+1) = wall*h_e, but no nonzero multiple of the wall is
+   reduced: on a torus its s-degrees span at least deg wall, on a Lie base
+   its top s-degree is at least deg wall. So h = 0; no Gröbner basis is used.
 
 Flavor strings name the projection base (second factor) first, like the
 models they match: "gG" is a torus fiber over a Lie-algebra base, "GGv" is a
@@ -219,6 +230,30 @@ class _WallPowers:
         if self.span <= 0:
             raise BlowupError(f"the wall {wall} is a unit")
         self.powers: dict = {}  # k -> c^k, 1/c^k[0] and the other nonzero entries of c^k
+        self.top = self.low + len(c) - 1  # the wall's top degree in v; lemma 3's window ends there
+        self.lead, self.trail = c[-1].inverse(), c[0].inverse()
+        self.under = [(j, cj) for j, cj in enumerate(c) if cj][:-1]  # entries below the top
+        self.over = [(j, cj) for j, cj in enumerate(c) if cj][1:]  # entries above the bottom
+
+    def reduce(self, row: dict) -> tuple[dict, dict]:
+        """(a, b) with row = wall * a + b, for polynomials in v held as {degree: coefficient},
+        and b reduced (lemma 3): its degrees in [top - span, top). Terms at or above the top
+        go first, by the wall's top coefficient; then, v being a unit, those under low."""
+        b, a, low, top = dict(row), {}, self.low, self.top
+        for e in range(max(b), top - 1, -1):
+            x = b.pop(e, None)
+            if x:
+                a[e - top] = q = x * self.lead
+                for j, cj in self.under:
+                    b[e - top + low + j] = b.get(e - top + low + j, ZERO) - q * cj
+        if self.invertible:
+            for e in range(min(b, default=low), low):
+                x = b.pop(e, None)
+                if x:
+                    a[e - low] = q = x * self.trail
+                    for j, cj in self.over:
+                        b[e + j] = b.get(e + j, ZERO) - q * cj
+        return a, {e: x for e, x in b.items() if x}
 
     def quotient(self, column: list, k: int) -> list | None:
         """q with column = q * c^k as coefficient lists from index 0, or None if c^k does not
@@ -305,11 +340,13 @@ def membership(frac: RingFraction, B: BlowupAlgebra) -> MembershipResult:
     monic n, top row first; each nonzero row of the digit r_j must be divided
     by wall^(k-j) in k[s] or k[s^(+-)], and the first failure means no member.
     The certificate f^-m * (sum_(j<k) T^j r_j/wall^(k-j) + T^k q), q the
-    rest after k digits, is returned as its normal form in B.ring: normal
-    forms are unique, so it is the division engine's. Raises BlowupError
-    unless B.ring is a rank-1 blow-up of the module's form.
+    rest after k digits, is returned in its wall-adic form (lemma 3): unique,
+    so equal in B to the division engine's certificate, but found without
+    one. Raises BlowupError unless B.ring is a rank-1 blow-up of the module's
+    form.
     """
-    vars, (fi, si, ti), n, d, tail, powers, order = _digits_of(B)
+    ctx = _digits_of(B)
+    vars, (fi, si, ti), n, d, tail, powers, _ = ctx
     wall = powers.wall
     num, den = B.ring.split(frac)
     num = num.with_vars(vars)
@@ -326,7 +363,7 @@ def membership(frac: RingFraction, B: BlowupAlgebra) -> MembershipResult:
     grid = [[ZERO] * (max(ss) - low + 1) for _ in range(max(fs) + m + 1)]
     for a, b, c in zip(fs, ss, num.terms.values()):
         grid[a + m][b - low] = c * uc
-    cert = {}
+    cert: dict = {}  # T-degree -> f-degree -> {s-degree: coefficient}
     for j in range(k):
         for i in range(len(grid) - 1, (j + 1) * d - 1, -1):  # row[i-d+t] += (-c_t) * row[i]
             row = [(col, a) for col, a in enumerate(grid[i]) if a]
@@ -340,10 +377,43 @@ def membership(frac: RingFraction, B: BlowupAlgebra) -> MembershipResult:
                 q = powers.quotient(row, k - j)
                 if q is None or (not powers.invertible and any(q[: max(-base, 0)])):
                     return MembershipResult(False, None)
-                cert.update((order((t - m, base + col, j)), a) for col, a in enumerate(q) if a)
-    for i, row in enumerate(grid[k * d :]):
-        cert.update((order((i - m, low + col, k)), a) for col, a in enumerate(row) if a)
-    return MembershipResult(True, B.ring.nf(LaurentPoly(vars, cert)))
+                cert.setdefault(j, {})[t - m] = {base + col: a for col, a in enumerate(q) if a}
+    cert[k] = {i - m: {low + col: a for col, a in enumerate(row) if a} for i, row in enumerate(grid[k * d :])}
+    return MembershipResult(True, _wall_adic(cert, ctx))
+
+
+def _wall_adic(coeffs: dict, ctx: tuple) -> LaurentPoly:
+    """The wall-adic form (lemma 3) of sum_j T^j c_j, given as {j: {f-degree: {s-degree:
+    coefficient}}} and reduced in place: top power of T first, c_j = wall*a + b row by row
+    in s, and T^j*c_j = T^j*b + T^(j-1)*n*a in B."""
+    vars, (fi, _, _), n, _, _, powers, order = ctx
+    nterms = [(e[fi], c) for e, c in n.terms.items()]
+    for j in range(max(coeffs, default=0), 0, -1):
+        rows, below = coeffs.get(j, {}), coeffs.setdefault(j - 1, {})
+        for i, row in rows.items():
+            if row:
+                a, rows[i] = powers.reduce(row)
+                for t, nc in nterms:
+                    target = below.setdefault(i + t, {})
+                    for e, x in a.items():
+                        target[e] = target.get(e, ZERO) + nc * x
+    terms = {order((i, e, j)): x for j, rows in coeffs.items() for i, row in rows.items() for e, x in row.items()}
+    return LaurentPoly(vars, terms)
+
+
+def wall_adic_form(p: LaurentPoly, B: BlowupAlgebra) -> LaurentPoly:
+    """p's wall-adic normal form in B (lemma 3): equal to p in B, and the same polynomial
+    for two elements of B.ring's polynomial ring iff they are equal in B. Raises
+    BlowupError unless B.ring is a rank-1 blow-up of the module's form."""
+    ctx = _digits_of(B)
+    vars, (fi, si, ti) = ctx[0], ctx[1]
+    places = [i for i, v in enumerate(vars) if v in B.ring.poly_vars]
+    coeffs: dict = {}
+    for e, c in p.with_vars(vars).terms.items():
+        if any(e[i] < 0 for i in places):
+            raise BlowupError(f"{p} has a negative power of a variable that is no unit in B")
+        coeffs.setdefault(e[ti], {}).setdefault(e[fi], {})[e[si]] = c
+    return _wall_adic(coeffs, ctx)
 
 
 # -- Denis conditions --------------------------------------------------------------

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .blowup import BlowupAlgebra, build_blowup, membership
+from .blowup import BlowupAlgebra, build_blowup, membership, wall_adic_form
 from .centralizer import model
 from .fractions import RingFraction
 from .poly import LaurentPoly, parse_poly
@@ -152,8 +152,7 @@ class KRing:
 
     def abstract_to_blowup(self, f: LaurentPoly) -> LaurentPoly:
         certs = self.generator_certificates()
-        image = f.substitute({c: certs[c] for c in self.model.coords})
-        return self.blowup.ring.nf(image)
+        return wall_adic_form(f.substitute({c: certs[c] for c in self.model.coords}), self.blowup)
 
     def localized_to_blowup(self, frac: RingFraction) -> LaurentPoly:
         deck = self.model.deck

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from .blowup import _FACTORS, BlowupAlgebra, membership
 from .fractions import RingFraction
 from .poly import LaurentPoly
-from .rootdata import RootDatum
 from .scalars import GaussianRational, gauss
 
 
@@ -97,8 +96,8 @@ def standard_chart(B: BlowupAlgebra, kappa: GaussianRational | int = 1) -> Poiss
     return PoissonChart(kinds, {(f, s): -k})
 
 
-def torus_chart(datum: RootDatum, kappa: GaussianRational | int = 1) -> PoissonChart:
-    """The dual-torus-times-torus chart, coordinates t and z for every rank-1 ``datum``.
+def torus_chart(kappa: GaussianRational | int = 1) -> PoissonChart:
+    """The dual-torus-times-torus chart, coordinates t and z.
 
     Base bracket {log t, log z} = -kappa, matching the q-deformation bracket
     of the loop-rotation Heisenberg algebra at kappa = 1.

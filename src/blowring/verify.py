@@ -355,7 +355,7 @@ def suite_heisenberg(cfg: Config, read: Callable, blowup: Callable[[str], Blowup
         rev = ealphach * ealpha
         return rev == HeisenbergElement.basis(datum, coweight=(1,), weight=(2,)), str(rev)
 
-    chart = torus_chart(datum, 1)
+    chart = torus_chart(1)
 
     def chart_bracket():
         pairs = [(monomial_exponents(3), monomial_exponents(3)) for _ in range(10)]

@@ -134,7 +134,7 @@ def test_criterion_07_heisenberg_poisson():
         u, v, w = rand_elt(), rand_elt(), rand_elt()
         ok = ok and (u * v) * w == u * (v * w)
         ok = ok and commutes_at_q1(u, v)
-    chart = torus_chart(datum, 1)
+    chart = torus_chart(1)
     for _ in range(10):
         lam1, mu1 = (rng.randint(-3, 3),), (rng.randint(-3, 3),)
         lam2, mu2 = (rng.randint(-3, 3),), (rng.randint(-3, 3),)

@@ -14,6 +14,7 @@ from blowring.blowup import (
     factor_wall_denominator,
     membership,
     unit_comparison,
+    wall_adic_form,
 )
 from blowring.fractions import RingFraction
 from blowring.poisson import standard_chart
@@ -77,6 +78,26 @@ class TestConstruction:
             build_blowup(sl2_datum, "XX")
 
 
+def _in_wall_adic_form(B, p) -> bool:
+    """Whether every T^j coefficient of p, j >= 1, has its degrees in the wall's variable s in
+    [lo, hi) over a torus base and in [0, hi) over a Lie base, lo and hi the wall's lowest and
+    highest degrees in s: the window of lemma 3, read off the wall alone."""
+    (s,), (T,), wall = B.second_vars, B.gen_names, B.wall_product
+    degrees = [e[wall.vars.index(s)] for e in wall.terms]
+    start = min(degrees) if s in B.ring.laurent_vars else 0
+    p = p.with_vars(tuple(sorted(set(p.vars) | {s, T})))
+    si, ti = p.vars.index(s), p.vars.index(T)
+    return all(start <= e[si] < max(degrees) for e in p.terms if e[ti])
+
+
+def _same_element(B, certificate, want) -> bool:
+    """A certificate against the division engine's: the same element of B, and in the reduced
+    wall-adic form, which is unique (lemma 3), so this pins it as a text comparison would."""
+    if want is None:
+        return certificate is None
+    return B.ring.equal(certificate, want) and _in_wall_adic_form(B, certificate)
+
+
 class TestMembership:
     def test_generator_certificate(self, blowups):
         res = membership(RingFraction(y**2 - 1, z**2 - 1), blowups["GG"])
@@ -130,7 +151,7 @@ class TestMembership:
             res = membership(RingFraction(wall**j * g, wall**k), B)
             want = B.ring.divide(wall**j * g, wall, power=k)
             assert res.member is (want is not None)
-            assert str(res.certificate) == str(want)
+            assert _same_element(B, res.certificate, want)
 
     @pytest.mark.parametrize("flavor", FLAVORS)
     @pytest.mark.parametrize(
@@ -142,7 +163,7 @@ class TestMembership:
         res = membership(RingFraction(wall**i * n**j, wall**k), B)
         want = B.ring.divide(wall**i * n**j, wall, power=k)
         assert res.member is (want is not None)
-        assert str(res.certificate) == str(want)
+        assert _same_element(B, res.certificate, want)
 
     @pytest.mark.parametrize("flavor", FLAVORS)
     def test_numerator_cancellation_needs_the_relation(self, blowups, flavor):
@@ -155,7 +176,7 @@ class TestMembership:
         assert not membership(RingFraction(n, wall), bad).member
         for j, k in ((1, 2), (2, 2)):
             res = membership(RingFraction(n**j, wall**k), bad)
-            assert str(res.certificate) == str(bad.ring.divide(n**j, wall, power=k))
+            assert _same_element(bad, res.certificate, bad.ring.divide(n**j, wall, power=k))
 
     def test_numerator_wall_factor_cancels_to_T(self, blowups):
         res = membership(RingFraction((y**2 - 1) * (z**2 - 1), (z**2 - 1) ** 2), blowups["GG"])
@@ -219,7 +240,7 @@ class TestDigits:
         want = B.ring.divide(p, wall, power=k)
         event(f"member={res.member}")
         assert res.member is (want is not None)
-        assert str(res.certificate) == str(want)
+        assert _same_element(B, res.certificate, want)
 
     def test_slowest_stream_bracket_agrees_with_the_division_engine(self, blowups):
         # a GGv bracket of two products of wall fractions, over wall^14
@@ -232,7 +253,7 @@ class TestDigits:
         res = membership(br, B)
         want = B.ring.divide(num * unit.monomial_inverse(), B.wall_product, power=k)
         assert res.member and want is not None
-        assert str(res.certificate) == str(want)
+        assert _same_element(B, res.certificate, want)
 
     @pytest.mark.parametrize("flavor", ["gg", "gG"])
     def test_a_negative_power_of_the_wall_variable_is_no_member(self, blowups, flavor):
@@ -292,8 +313,32 @@ class TestDigits:
 
 
 @pytest.mark.parametrize("control", [False, True], ids=["ring", "control"])
+@pytest.mark.parametrize("flavor", FLAVORS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_wall_adic_form_is_a_normal_form(blowups, controlled, flavor, control, data):
+    """The wall-adic form against the Gröbner engine: it is constant on cosets of the
+    relation, equal to its input in B, and reduced."""
+    B = (controlled if control else blowups)[flavor]
+    (f,), (s,), (T,), units = B.first_vars, B.second_vars, B.gen_names, B.ring.laurent_vars
+    exps = lambda v: st.integers(-2 if v in units else 0, 3)
+
+    def draw():
+        terms = st.tuples(exps(f), exps(s), st.integers(0, 3), st.integers(-3, 3))
+        drawn = data.draw(st.lists(terms, max_size=4))
+        return sum((c * LaurentPoly.monomial(1, {f: a, s: b, T: j}) for a, b, j, c in drawn), LaurentPoly.zero())
+
+    (relation,) = B.ring.relations
+    p, h = draw(), draw()
+    form = wall_adic_form(p, B)
+    assert str(wall_adic_form(p + h * relation, B)) == str(form)
+    assert B.ring.equal(form, p) and _in_wall_adic_form(B, form)
+
+
+@pytest.mark.parametrize("control", [False, True], ids=["ring", "control"])
 def test_membership_uses_no_division_engine(blowups, controlled, monkeypatch, control):
-    """Membership on every flavor, and on its control, with the generic division paths disabled."""
+    """Membership on every flavor, and on its control, with the generic division and
+    normal-form paths disabled: certificates come in the wall-adic form (lemma 3)."""
     from blowring import groebner
 
     def refuse(*args, **kwargs):
@@ -301,14 +346,15 @@ def test_membership_uses_no_division_engine(blowups, controlled, monkeypatch, co
 
     rings = (controlled if control else blowups).values()
     for B in rings:
-        B.ring.nf(B.wall_product)  # the relation basis exists before the engine goes
-    engine = {name: getattr(groebner, name) for name in ("laurent_exact_divide", "buchberger")}
+        wall_adic_form(B.wall_product, B)  # the digit context, its relation checked, exists before the engine goes
+    engine = {name: getattr(groebner, name) for name in ("laurent_exact_divide", "buchberger", "normal_form")}
     for module in list(sys.modules.values()):
         if getattr(module, "__name__", "").startswith("blowring"):
             for name, function in engine.items():  # every module that imported it by name
                 if getattr(module, name, None) is function:
                     monkeypatch.setattr(module, name, refuse)
     monkeypatch.setattr(PresentedRing, "divide", refuse)
+    monkeypatch.setattr(PresentedRing, "nf", refuse)
     for B in rings:
         wall, n = B.wall_product, B.numerators[0]
         chart = standard_chart(B)

@@ -86,8 +86,8 @@ class TestStandardCharts:
         # {y, z} = -yz in the canonical orientation
         assert chart.bracket(y, z) == RingFraction(-(y * z))
 
-    def test_torus_chart_pairing(self, sl2_datum):
-        chart = torus_chart(sl2_datum, 1)
+    def test_torus_chart_pairing(self):
+        chart = torus_chart(1)
         tvar, zvar = LaurentPoly.gens("t z")
         assert chart.bracket(tvar, zvar) == RingFraction(-(tvar * zvar))
         assert chart.bracket(tvar**2, zvar**3) == RingFraction(tvar**2 * zvar**3 * -6)
