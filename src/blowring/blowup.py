@@ -232,8 +232,8 @@ class _WallPowers:
         self.powers: dict = {}  # k -> c^k, 1/c^k[0] and the other nonzero entries of c^k
         self.top = self.low + len(c) - 1  # the wall's top degree in v; lemma 3's window ends there
         self.lead, self.trail = c[-1].inverse(), c[0].inverse()
-        self.under = [(j, cj) for j, cj in enumerate(c) if cj][:-1]  # entries below the top
-        self.over = [(j, cj) for j, cj in enumerate(c) if cj][1:]  # entries above the bottom
+        nonzero = [(j, cj) for j, cj in enumerate(c) if cj]
+        self.under, self.over = nonzero[:-1], nonzero[1:]  # all but the top entry; all but the bottom one
 
     def reduce(self, row: dict) -> tuple[dict, dict]:
         """(a, b) with row = wall * a + b, for polynomials in v held as {degree: coefficient},
