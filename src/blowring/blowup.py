@@ -306,7 +306,8 @@ _DIGITS: WeakKeyDictionary = WeakKeyDictionary()
 def _digits_of(B: BlowupAlgebra) -> tuple:
     """B.ring's variables, the places of f, s and T in them, n, deg_f n, the (f-degree,
     negated coefficient) of n's lower terms, the wall's powers and the gather that orders an
-    (f, s, T) exponent triple as the variables: built and checked on first use."""
+    (f, s, T) exponent triple as the variables: built and checked on first use, the relation's
+    vanishing by its being a generator of B.ring's ideal (no Gröbner basis is built)."""
     ctx = _DIGITS.get(B.ring)
     if ctx is not None:
         return ctx
@@ -318,8 +319,8 @@ def _digits_of(B: BlowupAlgebra) -> tuple:
     n = (wall * LaurentPoly.var(T) - relation).with_vars(vars)
     terms = {e[vars.index(f)]: c for e, c in n.terms.items()} if n.support_vars() == (f,) else {}
     d = max(terms, default=0)
-    if not B.ring.nf(relation).is_zero():
-        raise BlowupError(f"the relation {relation} does not vanish in its ring")
+    if not B.ring.has_generator(relation):
+        raise BlowupError(f"the relation {relation} is no generator of its ring's ideal")
     monic = d > 0 and min(terms) >= 0 and terms[d] == ONE and (f not in units or 0 in terms)
     if sorted(vars) != sorted((f, s, T)) or wall.support_vars() != (s,) or not monic:
         raise BlowupError(f"{relation} is no T*wall - n with the wall in {s} and n in {f} as the module says")
@@ -343,7 +344,8 @@ def membership(frac: RingFraction, B: BlowupAlgebra) -> MembershipResult:
     rest after k digits, is returned in its wall-adic form (lemma 3): unique,
     so equal in B to the division engine's certificate, but found without
     one. Raises BlowupError unless B.ring is a rank-1 blow-up of the module's
-    form.
+    form whose ideal lists its relation as a generator (checked without a basis,
+    so a ring whose ideal only contains the relation is refused).
     """
     ctx = _digits_of(B)
     vars, (fi, si, ti), n, d, tail, powers, _ = ctx

@@ -114,6 +114,12 @@ class PresentedRing:
     def equal(self, f: LaurentPoly, g: LaurentPoly) -> bool:
         return self.nf(f - g).is_zero()
 
+    def has_generator(self, p: LaurentPoly) -> bool:
+        """Whether p, encoded, is one of the generators the ideal was built from, and so
+        zero in the ring: decided with no Gröbner basis, and false for a p the ideal
+        merely contains."""
+        return self._encode(p) in self.ideal.gens  # equality ignores the order of variables
+
     # -- division with certificate ---------------------------------------------
 
     def divide(self, num: LaurentPoly, den: LaurentPoly, power: int = 1) -> LaurentPoly | None:

@@ -176,7 +176,7 @@ class TestMembership:
         assert not membership(RingFraction(n, wall), bad).member
         for j, k in ((1, 2), (2, 2)):
             res = membership(RingFraction(n**j, wall**k), bad)
-            assert str(res.certificate) == str(bad.ring.divide(n**j, wall, power=k))
+            assert _same_element(bad, res.certificate, bad.ring.divide(n**j, wall, power=k))
 
     def test_numerator_wall_factor_cancels_to_T(self, blowups):
         res = membership(RingFraction((y**2 - 1) * (z**2 - 1), (z**2 - 1) ** 2), blowups["GG"])
@@ -274,7 +274,7 @@ class TestDigits:
             res = membership(RingFraction(p, wall**k), B)
             want = B.ring.divide(p, wall, power=k)
             assert res.member is (want is not None), (p, k)
-            assert str(res.certificate) == str(want), (p, k)
+            assert _same_element(B, res.certificate, want), (p, k)
 
     @pytest.mark.parametrize("flavor", FLAVORS)
     def test_relation_outside_the_digit_form_raises(self, blowups, flavor):
@@ -345,16 +345,18 @@ def test_wall_adic_form_refuses_a_negative_power_of_a_non_unit(blowups, flavor):
 
 @pytest.mark.parametrize("control", [False, True], ids=["ring", "control"])
 def test_membership_uses_no_division_engine(blowups, controlled, monkeypatch, control):
-    """Membership on every flavor, and on its control, with the generic division and
-    normal-form paths disabled: certificates come in the wall-adic form (lemma 3)."""
+    """Membership on a fresh copy of every flavor, and of its control, with the generic
+    division and normal-form paths disabled: the first call checks the relation from the
+    presentation, and certificates come in the wall-adic form (lemma 3)."""
     from blowring import groebner
 
     def refuse(*args, **kwargs):
         raise AssertionError("membership reached the division engine")
 
-    rings = (controlled if control else blowups).values()
-    for B in rings:
-        wall_adic_form(B.wall_product, B)  # the digit context, its relation checked, exists before the engine goes
+    def fresh(B, relations):
+        return PresentedRing(B.ring.laurent_vars, B.ring.poly_vars, relations)
+
+    rings = [replace(B, ring=fresh(B, B.ring.relations)) for B in (controlled if control else blowups).values()]
     engine = {name: getattr(groebner, name) for name in ("laurent_exact_divide", "buchberger", "normal_form")}
     for module in list(sys.modules.values()):
         if getattr(module, "__name__", "").startswith("blowring"):
@@ -370,6 +372,11 @@ def test_membership_uses_no_division_engine(blowups, controlled, monkeypatch, co
         fracs += [chart.bracket(f, g) for f, g in combinations(B.invariant_gens, 2)]
         for frac in fracs:
             membership(frac, B)
+        # an ideal that contains the relation but is built from twice it is refused
+        doubled = fresh(B, B.ring.relations)
+        doubled.ideal = fresh(B, [B.ring.relations[0] * 2]).ideal
+        with pytest.raises(BlowupError):
+            membership(RingFraction(n, wall), replace(B, ring=doubled))
 
 
 class TestLaurentCertificates:
