@@ -7,7 +7,7 @@ the dot product. sl2 has root (2,) and coroot (1,); pgl2 swaps the roles.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, Sequence
+from typing import Sequence
 
 Vec = tuple[int, ...]
 
@@ -20,7 +20,6 @@ class RootDatumError(ValueError):
 class RootDatum:
     root: Vec
     coroot: Vec
-    rank: ClassVar[int] = 1
 
     def __post_init__(self):
         vectors = (self.root, self.coroot)

@@ -169,7 +169,7 @@ def test_every_public_name_has_a_caller_in_src():
 
 # public method names defined on several classes: the scan above takes a call of any
 # owner's method for a call of every owner's, so each owner's caller was checked by hand
-SHARED_METHOD_NAMES = {"commutator", "inverse", "is_zero", "key", "neg_key", "passed"}
+SHARED_METHOD_NAMES = {"inverse", "is_zero", "key", "neg_key", "passed"}
 
 
 def test_shared_method_names_are_pinned():

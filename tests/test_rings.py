@@ -103,20 +103,30 @@ def _refuse(*args, **kwargs):
     raise AssertionError("an elimination ideal was built")
 
 
-# the relation ideal is its own saturation, so its basis is the saturation's
-@pytest.mark.parametrize("name", [*FLAVORS, *(f"blowup:{flavor}" for flavor in FLAVORS)])
-def test_saturation_basis_is_built_once(name, monkeypatch):
+def _blowup(name):
     flavor = name.removeprefix("blowup:")
+    B = build_blowup(sl2(), flavor)
+    return B if name == flavor else CONTROLS[name][1](B)
+
+
+BLOWUP_NAMES = [*FLAVORS, *(f"blowup:{flavor}" for flavor in FLAVORS)]
+
+
+@pytest.mark.parametrize("name", BLOWUP_NAMES)
+def test_build_and_first_membership_build_no_basis(name, monkeypatch):
     calls = []
     inner = groebner.buchberger
     monkeypatch.setattr(groebner, "buchberger", lambda *a, **k: calls.append(1) or inner(*a, **k))
     monkeypatch.setattr(groebner.Elimination, "__init__", _refuse)
-    B = build_blowup(sl2(), flavor)
-    if name != flavor:
-        B = CONTROLS[name][1](B)
+    B = _blowup(name)
     res = membership(RingFraction(B.numerators[0], B.walls[0]), B)
-    assert res.member == (name == flavor)
+    assert res.member == (name in FLAVORS)
     assert len(calls) == 0  # the relation is checked as a generator, not reduced by a basis
-    monkeypatch.undo()
+
+
+# the relation ideal is its own saturation, so its basis is the saturation's
+@pytest.mark.parametrize("name", BLOWUP_NAMES)
+def test_relation_ideal_is_its_own_saturation(name):
+    B = _blowup(name)
     ideal = B.ring.ideal
     assert ideal.groebner() == ideal.saturate(B.ring._encode(B.wall_product)).groebner()

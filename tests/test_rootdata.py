@@ -8,7 +8,6 @@ from conftest import pgl2
 class TestRank1:
     def test_sl2_coroot_orbit(self):
         assert (sl2().root, sl2().coroot) == ((2,), (1,))
-        assert sl2().rank == 1
         assert sl2().pairing(sl2().root, sl2().coroot) == 2
 
     def test_pgl2_swaps_root_and_coroot(self):

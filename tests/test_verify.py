@@ -50,6 +50,8 @@ def test_all_builds_each_blowup_and_oracle_once(monkeypatch):
         "blowup: GG: defining relation reduces to zero",
         "blowup: GG: wall-ratio generator is a member",
         "blowup: GG: bracket closure {y + y^-1, (y - y^-1) / (z - z^-1)}",
+        "blowup: GG: (y^2-1)/(z^2-1) member with certificate T",
+        "blowup: GG: (y-y^-1)/(z-z^-1) member, certificate verifies",
     ]
 
 
