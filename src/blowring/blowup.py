@@ -153,8 +153,9 @@ def _invariant_generators(B: BlowupAlgebra) -> tuple[RingFraction, ...]:
     """W-invariant fraction generators of the undotted blow-up B = B-dot/W."""
     (f,) = B.first_vars
     (s,) = B.second_vars
-    fv = LaurentPoly.var(f)
-    sv = LaurentPoly.var(s)
+    vars = B.ring.laurent_vars + B.ring.poly_vars  # one order for every operand, T included
+    fv = LaurentPoly.var(f).with_vars(vars)
+    sv = LaurentPoly.var(s).with_vars(vars)
     half = lambda p: RingFraction(p) / 2
 
     if B.flavor == "gg":

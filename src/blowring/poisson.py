@@ -64,12 +64,13 @@ class PoissonChart:
             if part.terms:
                 total = part * c if total is None else total + part * c
         if total is None:
-            return RingFraction.of(LaurentPoly.zero())
-        # every part lies over den(f)^2 * den(g)^2, formed once
-        den = (f.den * f.den) * (g.den * g.den)
-        if den.is_monomial():
+            return RingFraction(LaurentPoly.zero(LaurentPoly.merge_vars(f.num, g.num)))
+        if f.is_polynomial() and g.is_polynomial():
             return RingFraction(total)
-        return RingFraction(total.with_vars(LaurentPoly.merge_vars(den, total)), den)
+        # every part lies over (den(f) * den(g))^2, formed once
+        den = f.den * g.den
+        den = den * den
+        return RingFraction(total, den)
 
     def jacobi_sum(self, f, g, h) -> RingFraction:
         f, g, h = (RingFraction.of(x) for x in (f, g, h))

@@ -101,7 +101,8 @@ class PresentedRing:
                     if m < 0:
                         shift[v] = max(shift.get(v, 0), -m)
         if shift:
-            mono = LaurentPoly.monomial(ONE, shift)
+            vars = LaurentPoly.merge_vars(num, den)  # num's order first, so num needs no re-alignment
+            mono = LaurentPoly(vars, {tuple(shift.get(v, 0) for v in vars): ONE})
             num = num * mono
             den = den * mono
         return num, den

@@ -1,4 +1,4 @@
-"""Shared exact-arithmetic test helpers.
+"""Shared exact-arithmetic test helpers, and each negative control's failed records.
 
 The Schwartz-Zippel screen: any identity accepted symbolically must also
 hold at random Gaussian-rational points avoiding the denominators; a
@@ -16,6 +16,55 @@ from blowring.fractions import RingFraction
 from blowring.poly import LaurentPoly
 from blowring.rootdata import RootDatum
 from blowring.scalars import GaussianRational, gauss
+
+
+# control -> the records its own suite fails under it, and no others (acceptance criterion 12)
+FAILED_UNDER = {
+    "blowup:GG": [
+        "GG: defining relation reduces to zero",
+        "GG: wall-ratio generator is a member",
+        "GG: bracket closure {y + y^-1, (y - y^-1) / (z - z^-1)}",
+        "GG: (y^2-1)/(z^2-1) member with certificate T",
+        "GG: (y-y^-1)/(z-z^-1) member, certificate verifies",
+    ],
+    "blowup:GGv": [
+        "GGv: defining relation reduces to zero",
+        "GGv: wall-ratio generator is a member",
+        "GGv: bracket closure {z + z^-1, (t - 2 + t^-1) / (z^2 - 2 + z^-2)}",
+        "GGv: bracket closure {t + t^-1, (t - t^-1) / (z - z^-1)}",
+        "GGv: bracket closure {t + t^-1, (t - 2 + t^-1) / (z^2 - 2 + z^-2)}",
+        "GGv: bracket closure {(t - t^-1) / (z - z^-1), (t - 2 + t^-1) / (z^2 - 2 + z^-2)}",
+    ],
+    "blowup:gG": [
+        "gG: defining relation reduces to zero",
+        "gG: wall-ratio generator is a member",
+        "gG: bracket closure {1/2*y + 1/2*y^-1, 1/2*y*x^-1 - 1/2*y^-1*x^-1}",
+    ],
+    "blowup:Gg": ["Gg: defining relation reduces to zero", "Gg: wall-ratio generator is a member"],
+    "blowup:gg": ["gg: defining relation reduces to zero", "gg: wall-ratio generator is a member"],
+    **{
+        f"centralizer:{name}": [
+            f"{name}: parametrization satisfies the relation, involutions preserve it",
+            f"{name}: implicitization kernel equals the model relation",
+        ]
+        for name in ("S", "S-prime")
+    },
+    "centralizer:slice": [
+        *(
+            f"commutant {flavor}/{constraint}: solves [X,M]=0 and spans the closed-form family"
+            for flavor in ("group", "lie")
+            for constraint in ("none", "traceless")
+        ),
+        "det of general group commutant rewrites the cubic relation",
+        "det of general Lie commutant is xi^2 - delta*eta^2",
+    ],
+    "homology": ["homology relation matches the hypersurface-model kernel"],
+    "kring": [
+        "v(1)_1 * v(-1)_1 = v(0)_2 + 1",
+        "cubic product relation holds",
+        "cubic product relation regenerates the model relation",
+    ],
+}
 
 
 def random_gaussian(rng: random.Random, span: int = 7) -> GaussianRational:

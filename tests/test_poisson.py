@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,10 +28,11 @@ CROSS_MULTIPLIED_GGV_BRACKET = (
     " + 495*z^4 - 792*z^2 + 924 - 792*z^-2 + 495*z^-4 - 220*z^-6 + 66*z^-8 - 12*z^-10 + "
     "z^-12)"
 )
+# the same bracket as printed now: over one denominator, in the ring's order t, z, T
 GGV_BRACKET = (
-    "(z^3*t^2 - 4*z^3*t + 6*z^3 - z*t^2 - 4*z^3*t^-1 + 4*z*t + z^3*t^-2 - 6*z - z^-1*t^2 "
-    "+ 4*z*t^-1 + 4*z^-1*t - z*t^-2 - 6*z^-1 + z^-3*t^2 + 4*z^-1*t^-1 - 4*z^-3*t - "
-    "z^-1*t^-2 + 6*z^-3 - 4*z^-3*t^-1 + z^-3*t^-2) / (z^6 - 6*z^4 + 15*z^2 - 20 + 15*z^-2"
+    "(t^2*z^3 - 4*t*z^3 - t^2*z + 6*z^3 + 4*t*z - 4*t^-1*z^3 - t^2*z^-1 - 6*z + t^-2*z^3 "
+    "+ 4*t*z^-1 + 4*t^-1*z + t^2*z^-3 - 6*z^-1 - t^-2*z - 4*t*z^-3 + 4*t^-1*z^-1 + 6*z^-3"
+    " - t^-2*z^-1 - 4*t^-1*z^-3 + t^-2*z^-3) / (z^6 - 6*z^4 + 15*z^2 - 20 + 15*z^-2"
     " - 6*z^-4 + z^-6)"
 )
 
@@ -133,40 +135,41 @@ class TestClosure:
 
 
 # Brackets on each flavor's standard chart as printed, pinned with the variable
-# lists of numerator and denominator, which decide the printed order. Operand
-# "i" is the i-th invariant generator, "0+n" and "0*n" the sum and the product
-# of the first and the last. GGv "2", "3" brackets two fractions over different
-# denominators; each "i", "i" row is zero.
+# lists of numerator and denominator, which decide the printed order: B.ring's
+# variables in its order (units, then the rest, T last), zero brackets too.
+# Operand "i" is the i-th invariant generator, "0+n" and "0*n" the sum and the
+# product of the first and the last. GGv "2", "3" brackets two fractions over
+# different denominators; each "i", "i" row is zero.
 PRINTED_BRACKETS = [
-    ('gg', '0', '1', '2', ('x', 'u'), ('x', 'u')),
-    ('gg', '0+1', '1', '2', ('x', 'u'), ('x', 'u')),
-    ('gg', '0*1', '1', '2*x^-1*u', ('x', 'u'), ('x', 'u')),
-    ('gg', '1', '1', '0', (), ()),
-    ('Gg', '0', '1', '(z^2 - 2 + z^-2) / (z^2 - 2 + z^-2)', ('z', 'x'), ('z',)),
-    ('Gg', '0+1', '1', '(z^4 - 4*z^2 + 6 - 4*z^-2 + z^-4) / (z^4 - 4*z^2 + 6 - 4*z^-2 + z^-4)', ('z', 'x'), ('z',)),
-    ('Gg', '0*1', '1', '(z^3*x - 3*z*x + 3*z^-1*x - z^-3*x) / (z^4 - 4*z^2 + 6 - 4*z^-2 + z^-4)', ('z', 'x'), ('z',)),
-    ('Gg', '1', '1', '0', (), ()),
-    ('gG', '0', '1', 'x*y - x*y^-1', ('x', 'y'), ('x', 'y')),
-    ('gG', '0', '2', 'y + y^-1', ('x', 'y'), ('x', 'y')),
-    ('gG', '1', '2', '1/4*y^2*x^-2 - 1/2*x^-2 + 1/4*y^-2*x^-2', ('y', 'x'), ('y', 'x')),
-    ('gG', '0+2', '1', 'x*y - x*y^-1 - 1/4*x^-2*y^2 + 1/2*x^-2 - 1/4*x^-2*y^-2', ('x', 'y'), ('x', 'y')),
-    ('gG', '0*2', '1', '1/4*y^2 - 1/2 + 1/4*y^-2', ('x', 'y'), ('x', 'y')),
-    ('gG', '2', '2', '0', (), ()),
-    ('GG', '0', '1', '-y*z + y*z^-1 + y^-1*z - y^-1*z^-1', ('y', 'z'), ('y', 'z')),
-    ('GG', '0', '2', '(y^2*z + y^2*z^-1 - 2*z - 2*z^-1 + y^-2*z + y^-2*z^-1) / (z^2 - 2 + z^-2)', ('y', 'z'), ('y', 'z')),
-    ('GG', '1', '2', '(z^2*y + z^2*y^-1 - 2*y - 2*y^-1 + z^-2*y + z^-2*y^-1) / (z^2 - 2 + z^-2)', ('z', 'y'), ('z',)),
-    ('GG', '0+2', '1', '(-y*z^3 - y*z^2 + 3*y*z + y^-1*z^3 + 2*y - y^-1*z^2 - 3*y*z^-1 - 3*y^-1*z - y*z^-2 + 2*y^-1 + y*z^-3 + 3*y^-1*z^-1 - y^-1*z^-2 - y^-1*z^-3) / (z^2 - 2 + z^-2)', ('y', 'z'), ('y', 'z')),
-    ('GG', '0*2', '1', '(-2*y^2*z^2 + 4*y^2 - 2*y^2*z^-2 - 2*y^-2*z^2 + 4*y^-2 - 2*y^-2*z^-2) / (z^2 - 2 + z^-2)', ('y', 'z'), ('y', 'z')),
-    ('GG', '2', '2', '0', (), ()),
-    ('GGv', '0', '1', 'z*t - z*t^-1 - z^-1*t + z^-1*t^-1', ('z', 't'), ('z', 't')),
-    ('GGv', '0', '2', '(z^2*t + z^2*t^-1 - 2*t - 2*t^-1 + z^-2*t + z^-2*t^-1) / (z^2 - 2 + z^-2)', ('z', 't'), ('z',)),
-    ('GGv', '0', '3', '(z^3*t - z^3*t^-1 - 3*z*t + 3*z*t^-1 + 3*z^-1*t - 3*z^-1*t^-1 - z^-3*t + z^-3*t^-1) / (z^4 - 4*z^2 + 6 - 4*z^-2 + z^-4)', ('z', 't'), ('z',)),
-    ('GGv', '1', '2', '(t^2*z + t^2*z^-1 - 2*z - 2*z^-1 + t^-2*z + t^-2*z^-1) / (z^2 - 2 + z^-2)', ('t', 'z'), ('t', 'z')),
-    ('GGv', '1', '3', '(2*t^2*z^2 - 4*t*z^2 + 4*t^-1*z^2 - 2*t^2*z^-2 - 2*t^-2*z^2 + 4*t*z^-2 - 4*t^-1*z^-2 + 2*t^-2*z^-2) / (z^4 - 4*z^2 + 6 - 4*z^-2 + z^-4)', ('t', 'z'), ('t', 'z')),
-    ('GGv', '2', '3', '(z^3*t^2 - 4*z^3*t + 6*z^3 - z*t^2 - 4*z^3*t^-1 + 4*z*t + z^3*t^-2 - 6*z - z^-1*t^2 + 4*z*t^-1 + 4*z^-1*t - z*t^-2 - 6*z^-1 + z^-3*t^2 + 4*z^-1*t^-1 - 4*z^-3*t - z^-1*t^-2 + 6*z^-3 - 4*z^-3*t^-1 + z^-3*t^-2) / (z^6 - 6*z^4 + 15*z^2 - 20 + 15*z^-2 - 6*z^-4 + z^-6)', ('z', 't'), ('z',)),
-    ('GGv', '0+3', '1', '(z^5*t - z^5*t^-1 - 5*z^3*t - 2*z^2*t^2 + 4*z^2*t + 5*z^3*t^-1 + 10*z*t - 4*z^2*t^-1 + 2*z^2*t^-2 - 10*z*t^-1 - 10*z^-1*t + 2*z^-2*t^2 - 4*z^-2*t + 10*z^-1*t^-1 + 5*z^-3*t + 4*z^-2*t^-1 - 2*z^-2*t^-2 - 5*z^-3*t^-1 - z^-5*t + z^-5*t^-1) / (z^4 - 4*z^2 + 6 - 4*z^-2 + z^-4)', ('z', 't'), ('z', 't')),
-    ('GGv', '0*3', '1', '(-z^3*t^2 + 2*z^3*t - 5*z*t^2 - 2*z^3*t^-1 + 10*z*t + z^3*t^-2 + 5*z^-1*t^2 - 10*z*t^-1 - 10*z^-1*t + 5*z*t^-2 + z^-3*t^2 + 10*z^-1*t^-1 - 2*z^-3*t - 5*z^-1*t^-2 + 2*z^-3*t^-1 - z^-3*t^-2) / (z^4 - 4*z^2 + 6 - 4*z^-2 + z^-4)', ('z', 't'), ('z', 't')),
-    ('GGv', '3', '3', '0', (), ()),
+    ('gg', '0', '1', '2', ('u', 'x', 'T'), ('u', 'x', 'T')),
+    ('gg', '0+1', '1', '2', ('u', 'x', 'T'), ('u', 'x', 'T')),
+    ('gg', '0*1', '1', '2*u*x^-1', ('u', 'x', 'T'), ('u', 'x', 'T')),
+    ('gg', '1', '1', '0', ('u', 'x', 'T'), ('u', 'x', 'T')),
+    ('Gg', '0', '1', '(z^2 - 2 + z^-2) / (z^2 - 2 + z^-2)', ('z', 'x', 'T'), ('z', 'x', 'T')),
+    ('Gg', '0+1', '1', '(z^4 - 4*z^2 + 6 - 4*z^-2 + z^-4) / (z^4 - 4*z^2 + 6 - 4*z^-2 + z^-4)', ('z', 'x', 'T'), ('z', 'x', 'T')),
+    ('Gg', '0*1', '1', '(z^3*x - 3*z*x + 3*z^-1*x - z^-3*x) / (z^4 - 4*z^2 + 6 - 4*z^-2 + z^-4)', ('z', 'x', 'T'), ('z', 'x', 'T')),
+    ('Gg', '1', '1', '0', ('z', 'x', 'T'), ('z', 'x', 'T')),
+    ('gG', '0', '1', 'y*x - y^-1*x', ('y', 'x', 'T'), ('y', 'x', 'T')),
+    ('gG', '0', '2', 'y + y^-1', ('y', 'x', 'T'), ('y', 'x', 'T')),
+    ('gG', '1', '2', '1/4*y^2*x^-2 - 1/2*x^-2 + 1/4*y^-2*x^-2', ('y', 'x', 'T'), ('y', 'x', 'T')),
+    ('gG', '0+2', '1', 'y*x - 1/4*y^2*x^-2 - y^-1*x + 1/2*x^-2 - 1/4*y^-2*x^-2', ('y', 'x', 'T'), ('y', 'x', 'T')),
+    ('gG', '0*2', '1', '1/4*y^2 - 1/2 + 1/4*y^-2', ('y', 'x', 'T'), ('y', 'x', 'T')),
+    ('gG', '2', '2', '0', ('y', 'x', 'T'), ('y', 'x', 'T')),
+    ('GG', '0', '1', '-y*z + y*z^-1 + y^-1*z - y^-1*z^-1', ('y', 'z', 'T'), ('y', 'z', 'T')),
+    ('GG', '0', '2', '(y^2*z + y^2*z^-1 - 2*z - 2*z^-1 + y^-2*z + y^-2*z^-1) / (z^2 - 2 + z^-2)', ('y', 'z', 'T'), ('y', 'z', 'T')),
+    ('GG', '1', '2', '(y*z^2 - 2*y + y^-1*z^2 + y*z^-2 - 2*y^-1 + y^-1*z^-2) / (z^2 - 2 + z^-2)', ('y', 'z', 'T'), ('y', 'z', 'T')),
+    ('GG', '0+2', '1', '(-y*z^3 - y*z^2 + 3*y*z + y^-1*z^3 + 2*y - y^-1*z^2 - 3*y*z^-1 - 3*y^-1*z - y*z^-2 + 2*y^-1 + y*z^-3 + 3*y^-1*z^-1 - y^-1*z^-2 - y^-1*z^-3) / (z^2 - 2 + z^-2)', ('y', 'z', 'T'), ('y', 'z', 'T')),
+    ('GG', '0*2', '1', '(-2*y^2*z^2 + 4*y^2 - 2*y^2*z^-2 - 2*y^-2*z^2 + 4*y^-2 - 2*y^-2*z^-2) / (z^2 - 2 + z^-2)', ('y', 'z', 'T'), ('y', 'z', 'T')),
+    ('GG', '2', '2', '0', ('y', 'z', 'T'), ('y', 'z', 'T')),
+    ('GGv', '0', '1', 't*z - t*z^-1 - t^-1*z + t^-1*z^-1', ('t', 'z', 'T'), ('t', 'z', 'T')),
+    ('GGv', '0', '2', '(t*z^2 - 2*t + t^-1*z^2 + t*z^-2 - 2*t^-1 + t^-1*z^-2) / (z^2 - 2 + z^-2)', ('t', 'z', 'T'), ('t', 'z', 'T')),
+    ('GGv', '0', '3', '(t*z^3 - 3*t*z - t^-1*z^3 + 3*t*z^-1 + 3*t^-1*z - t*z^-3 - 3*t^-1*z^-1 + t^-1*z^-3) / (z^4 - 4*z^2 + 6 - 4*z^-2 + z^-4)', ('t', 'z', 'T'), ('t', 'z', 'T')),
+    ('GGv', '1', '2', '(t^2*z + t^2*z^-1 - 2*z - 2*z^-1 + t^-2*z + t^-2*z^-1) / (z^2 - 2 + z^-2)', ('t', 'z', 'T'), ('t', 'z', 'T')),
+    ('GGv', '1', '3', '(2*t^2*z^2 - 4*t*z^2 + 4*t^-1*z^2 - 2*t^2*z^-2 - 2*t^-2*z^2 + 4*t*z^-2 - 4*t^-1*z^-2 + 2*t^-2*z^-2) / (z^4 - 4*z^2 + 6 - 4*z^-2 + z^-4)', ('t', 'z', 'T'), ('t', 'z', 'T')),
+    ('GGv', '2', '3', '(t^2*z^3 - 4*t*z^3 - t^2*z + 6*z^3 + 4*t*z - 4*t^-1*z^3 - t^2*z^-1 - 6*z + t^-2*z^3 + 4*t*z^-1 + 4*t^-1*z + t^2*z^-3 - 6*z^-1 - t^-2*z - 4*t*z^-3 + 4*t^-1*z^-1 + 6*z^-3 - t^-2*z^-1 - 4*t^-1*z^-3 + t^-2*z^-3) / (z^6 - 6*z^4 + 15*z^2 - 20 + 15*z^-2 - 6*z^-4 + z^-6)', ('t', 'z', 'T'), ('t', 'z', 'T')),
+    ('GGv', '0+3', '1', '(t*z^5 - 2*t^2*z^2 - 5*t*z^3 - t^-1*z^5 + 4*t*z^2 + 10*t*z + 5*t^-1*z^3 - 4*t^-1*z^2 + 2*t^2*z^-2 - 10*t*z^-1 - 10*t^-1*z + 2*t^-2*z^2 - 4*t*z^-2 + 5*t*z^-3 + 10*t^-1*z^-1 + 4*t^-1*z^-2 - t*z^-5 - 5*t^-1*z^-3 - 2*t^-2*z^-2 + t^-1*z^-5) / (z^4 - 4*z^2 + 6 - 4*z^-2 + z^-4)', ('t', 'z', 'T'), ('t', 'z', 'T')),
+    ('GGv', '0*3', '1', '(-t^2*z^3 + 2*t*z^3 - 5*t^2*z + 10*t*z - 2*t^-1*z^3 + 5*t^2*z^-1 + t^-2*z^3 - 10*t*z^-1 - 10*t^-1*z + t^2*z^-3 + 5*t^-2*z - 2*t*z^-3 + 10*t^-1*z^-1 - 5*t^-2*z^-1 + 2*t^-1*z^-3 - t^-2*z^-3) / (z^4 - 4*z^2 + 6 - 4*z^-2 + z^-4)', ('t', 'z', 'T'), ('t', 'z', 'T')),
+    ('GGv', '3', '3', '0', ('t', 'z', 'T'), ('t', 'z', 'T')),
 ]
 
 
@@ -187,6 +190,31 @@ def test_printed_bracket_is_pinned(blowups, flavor, f, g, printed, num_vars, den
     ops = _operands(list(B.invariant_gens))
     br = standard_chart(B).bracket(ops[f], ops[g])
     assert (str(br), br.num.vars, br.den.vars) == (printed, num_vars, den_vars)
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_bracket_and_membership_never_realign(blowups, monkeypatch, flavor):
+    """Generators, brackets and certificates all lie over B.ring's variables, in its order, so no
+    bracket of generators, their pairwise sums and products, nor its membership, re-aligns a polynomial."""
+    B = blowups[flavor]
+    gens = list(B.invariant_gens)
+    pairs = list(combinations(gens, 2))
+    ops = gens + [f + g for f, g in pairs] + [f * g for f, g in pairs]
+    assert membership(RingFraction(B.numerators[0], B.walls[0]), B).member  # builds the ring's digit context
+    realigned = []
+    with_vars = LaurentPoly.with_vars
+
+    def counting(p, vars):
+        if tuple(vars) != p.vars:
+            realigned.append((p.vars, tuple(vars)))
+        return with_vars(p, vars)
+
+    monkeypatch.setattr(LaurentPoly, "with_vars", counting)
+    chart = standard_chart(B)
+    for f in ops:
+        for g in ops:
+            assert membership(chart.bracket(f, g), B).member
+    assert len(realigned) == 0, realigned[:3]
 
 
 @st.composite

@@ -10,6 +10,9 @@ by lemma 1 of ``blowring.blowup`` saturating it at the wall adds nothing.
 So its reduced basis equals that of the saturation, and building a blow-up,
 or a ``blowup:<flavor>`` control, and deciding a first membership run
 Buchberger once and build no elimination ideal.
+
+``PresentedRing.split`` moves negative powers of non-units from the
+numerator and the denominator across, as one monomial.
 """
 
 import pytest
@@ -130,3 +133,13 @@ def test_relation_ideal_is_its_own_saturation(name):
     B = _blowup(name)
     ideal = B.ring.ideal
     assert ideal.groebner() == ideal.saturate(B.ring._encode(B.wall_product)).groebner()
+
+
+def test_split_clears_a_non_unit_the_numerator_does_not_name():
+    """The clearing monomial is built over the numerator's variables and then the denominator's,
+    so a negative power of a non-unit in the denominator alone still moves across."""
+    ring = PresentedRing(["y"], ["x"])
+    x, y = LaurentPoly.gens("x y")
+    num, den = ring.split(RingFraction(y, x**-1 + 1))
+    assert (num, den) == (x * y, x + 1)
+    assert num.vars == ("y", "x")

@@ -3,8 +3,9 @@
 ``run_suite`` hands every suite one memoized blow-up builder, and a ring
 builds each subalgebra oracle once, so the ``S <-> GG`` identification and the
 K-ring's conversion back from the blow-up use one oracle. A corrupted GG
-blow-up is a new object, so only the blowup suite's GG records fail. A
-control outside the suite it is run on is an error, not a passing run.
+blow-up is a new object, so only the blowup suite's GG records fail: the ones
+acceptance criterion 12 pins for ``blowup:GG`` run alone. A control outside
+the suite it is run on is an error, not a passing run.
 """
 
 import re
@@ -17,6 +18,8 @@ import blowring.verify as verify
 from blowring.kring import KRing
 from blowring.reports import Config
 from blowring.rings import SubalgebraOracle
+
+from conftest import FAILED_UNDER
 
 
 def test_all_builds_each_blowup_and_oracle_once(monkeypatch):
@@ -46,13 +49,8 @@ def test_all_builds_each_blowup_and_oracle_once(monkeypatch):
     (shared,) = [o for o in oracles if o.ring is B.ring]
     assert shared.tags == ("a", "b", "c")
     assert KRing(B)._blowup_oracle() is shared
-    assert [c.name for c in report.checks if c.status == "fail"] == [
-        "blowup: GG: defining relation reduces to zero",
-        "blowup: GG: wall-ratio generator is a member",
-        "blowup: GG: bracket closure {y + y^-1, (y - y^-1) / (z - z^-1)}",
-        "blowup: GG: (y^2-1)/(z^2-1) member with certificate T",
-        "blowup: GG: (y-y^-1)/(z-z^-1) member, certificate verifies",
-    ]
+    failed = [c.name for c in report.checks if c.status == "fail"]
+    assert failed == [f"blowup: {name}" for name in FAILED_UNDER["blowup:GG"]]
 
 
 @pytest.mark.parametrize("control", ["typo", "blowup:GG", "kring"])
