@@ -41,7 +41,7 @@ from .centralizer import (
     model,
     verify_parametrization,
 )
-from .kring import KRing, VClass, kring_multiply, subring_filter, v_dictionary
+from .kring import KRing, VClass, subring_filter, v_dictionary
 from .heisenberg import HeisenbergElement, poisson_from_q
 from .homology import BMRing
 from .fusion import FusionExpansion, consistency_sweep, fusion_table

@@ -106,9 +106,8 @@ IDENTITY = Substitution({})
 class GroupAction:
     """The finite group generated by a list of substitutions."""
 
-    def __init__(self, generators: Iterable[Substitution], cap: int = GROUP_CAP):
+    def __init__(self, generators: Iterable[Substitution]):
         self.generators = list(generators)
-        self.cap = cap
         self._elements: list[Substitution] | None = None
 
     def elements(self) -> list[Substitution]:
@@ -121,8 +120,8 @@ class GroupAction:
                     for s in self.generators:
                         h = s.compose(g)
                         if h not in seen:
-                            if len(seen) >= self.cap:
-                                raise GroupCapExceeded(f"group enumeration exceeded cap {self.cap}")
+                            if len(seen) >= GROUP_CAP:
+                                raise GroupCapExceeded(f"group enumeration exceeded cap {GROUP_CAP}")
                             seen.add(h)
                             nxt.append(h)
                 frontier = nxt

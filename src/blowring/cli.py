@@ -24,7 +24,7 @@ from .fractions import RingFraction, parse_fraction
 from .fusion import fusion_table
 from .groebner import ResourceLimitError, term_budget
 from .kring import KRing
-from .poisson import standard_chart
+from .poisson import bracket_closure_check, standard_chart
 from .poly import PolyParseError, parse_poly
 from .reports import Config, UsageError
 from .rootdata import sl2
@@ -176,7 +176,10 @@ def _compute_bracket(args, cfg) -> int:
     _require(args.flavor, "bracket requires --flavor")
     B = build_blowup(sl2(), args.flavor)
     chart = standard_chart(B, args.kappa)
-    f, g = _parse_fractions(args.args, chart.kinds, f"{args.flavor} chart coordinates")
+    parsed = _parse_fractions(args.args, chart.kinds, f"{args.flavor} chart coordinates")
+    # over the ring's variable order, as `compute closure` brackets, so both print alike
+    ring_vars = B.ring.laurent_vars + B.ring.poly_vars
+    f, g = (RingFraction(h.num.with_vars(ring_vars), h.den.with_vars(ring_vars)) for h in parsed)
     br = chart.bracket(f, g)
     res = membership(br, B) if not br.is_zero() else None
     payload = {
@@ -191,8 +194,6 @@ def _compute_bracket(args, cfg) -> int:
 
 def _compute_closure(args, cfg) -> int:
     _require(args.flavor, "closure requires --flavor")
-    from .poisson import bracket_closure_check
-
     B = build_blowup(sl2(), args.flavor)
     report = bracket_closure_check(B, kappa=args.kappa)
     data = report.to_dict()

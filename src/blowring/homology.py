@@ -16,20 +16,28 @@ from .rings import PresentedRing
 GRADING = {"delta": 4, "xi": 0, "eta": -2}
 
 
+def weight_of(f: LaurentPoly) -> int | None:
+    """The common GRADING weight of f's terms, or None if inhomogeneous."""
+    weights = {sum(GRADING[v] * e for v, e in zip(f.vars, exps) if e) for exps in f.terms}
+    if len(weights) > 1:
+        return None
+    return weights.pop() if weights else 0
+
+
 class BMRing:
     def __init__(self, relation: LaurentPoly | None = None):
         self.coords = ("delta", "xi", "eta")
         self.relation = relation if relation is not None else parse_poly(
             "xi^2 - delta*eta^2 - 1", vars=self.coords
         )
-        self.ring = PresentedRing((), self.coords, [self.relation], grading=GRADING)
+        self.ring = PresentedRing((), self.coords, [self.relation])
         # module-basis order: xi in the leading block so xi^2 is the lead
         vars = self.coords
         order = BlockOrder([(vars.index("xi"),), (vars.index("delta"), vars.index("eta"))])
         self.basis_ideal = Ideal(PolyRing(vars, order), [self.relation.with_vars(vars)])
 
     def grading_check(self) -> dict:
-        weight = self.ring.weight_of(self.relation)
+        weight = weight_of(self.relation)
         return {
             "degrees": dict(GRADING),
             "relation_weight": weight,

@@ -16,7 +16,7 @@ from typing import Callable
 
 from .blowup import BlowupAlgebra, build_blowup, membership, wall_adic_form
 from .centralizer import model
-from .fractions import RingFraction
+from .fractions import RingFraction, RingMap
 from .poly import LaurentPoly, parse_poly
 from .rings import PresentedRing, SubalgebraOracle
 from .rootdata import sl2
@@ -79,10 +79,7 @@ def abstract_ring(relation: LaurentPoly | None = None) -> PresentedRing:
     return PresentedRing((), ("a", "b", "c"), [rel])
 
 
-def kring_multiply(f: LaurentPoly, g: LaurentPoly, ring: PresentedRing | None = None) -> LaurentPoly:
-    """Product in the abstract presentation, reduced modulo the relation."""
-    ring = ring or abstract_ring()
-    return ring.nf(f * g)
+_SIDES = {"G": ("iota",), "Gv": ("jmath",), "both": ("iota", "jmath")}
 
 
 def subring_filter(f: LaurentPoly, side: str) -> bool:
@@ -92,16 +89,9 @@ def subring_filter(f: LaurentPoly, side: str) -> bool:
     side "Gv": fixed by the involution negating a and c (even n); "both"
     requires both.
     """
-    m = model("S")
-    if side == "G":
-        subs = [m.involutions["iota"]]
-    elif side == "Gv":
-        subs = [m.involutions["jmath"]]
-    elif side == "both":
-        subs = [m.involutions["iota"], m.involutions["jmath"]]
-    else:
+    if side not in _SIDES:
         raise KRingError(f"unknown side {side!r} (want 'G', 'Gv' or 'both')")
-    return all(s(f) == f for s in subs)
+    return model("S").action(_SIDES[side]).is_invariant(f)
 
 
 class KRing:
@@ -152,7 +142,7 @@ class KRing:
 
     def abstract_to_blowup(self, f: LaurentPoly) -> LaurentPoly:
         certs = self.generator_certificates()
-        return wall_adic_form(f.substitute({c: certs[c] for c in self.model.coords}), self.blowup)
+        return wall_adic_form(RingMap(certs)(f).as_poly(), self.blowup)
 
     def localized_to_blowup(self, frac: RingFraction) -> LaurentPoly:
         deck = self.model.deck
@@ -208,12 +198,8 @@ def dictionary_rederivations() -> dict[str, Callable[[], bool]]:
     a, b, c = (parse_poly(s, vars=("a", "b", "c")) for s in "abc")
     ring = abstract_ring()
     return {
-        "v(-1)_1 from the evident relation": lambda: ring.equal(
-            kring_multiply(a, b, ring), v_dictionary(1, 1) + v_dictionary(-1, 1)
-        ),
-        "v(0)_2 = v(0)_1 * v(0)_1": lambda: ring.equal(kring_multiply(b, b, ring), v_dictionary(0, 2)),
-        "v(2)_0 = v(1)_0 * v(1)_0 - 1": lambda: ring.equal(kring_multiply(a, a, ring) - 1, v_dictionary(2, 0)),
-        "v(2)_1 = v(1)_1 * v(1)_0 - v(0)_1": lambda: ring.equal(
-            kring_multiply(c, a, ring) - b, v_dictionary(2, 1)
-        ),
+        "v(-1)_1 from the evident relation": lambda: ring.equal(a * b, v_dictionary(1, 1) + v_dictionary(-1, 1)),
+        "v(0)_2 = v(0)_1 * v(0)_1": lambda: ring.equal(b * b, v_dictionary(0, 2)),
+        "v(2)_0 = v(1)_0 * v(1)_0 - 1": lambda: ring.equal(a * a - 1, v_dictionary(2, 0)),
+        "v(2)_1 = v(1)_1 * v(1)_0 - v(0)_1": lambda: ring.equal(c * a - b, v_dictionary(2, 1)),
     }

@@ -8,7 +8,7 @@ the Jacobi identity automatic, which the checks verify symbolically anyway.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .blowup import _FACTORS, BlowupAlgebra, membership
 from .fractions import RingFraction
@@ -93,18 +93,16 @@ def standard_chart(B: BlowupAlgebra, kappa: GaussianRational | int = 1) -> Poiss
         f: "linear" if first_kind == "lie" else "log",
         s: "linear" if second_kind == "lie" else "log",
     }
-    k = kappa if isinstance(kappa, GaussianRational) else gauss(kappa)
-    return PoissonChart(kinds, {(f, s): -k})
+    return PoissonChart(kinds, {(f, s): -kappa})
 
 
-def torus_chart(kappa: GaussianRational | int = 1) -> PoissonChart:
+def torus_chart() -> PoissonChart:
     """The dual-torus-times-torus chart, coordinates t and z.
 
-    Base bracket {log t, log z} = -kappa, matching the q-deformation bracket
-    of the loop-rotation Heisenberg algebra at kappa = 1.
+    Base bracket {log t, log z} = -1, matching the q-deformation bracket
+    of the loop-rotation Heisenberg algebra.
     """
-    k = kappa if isinstance(kappa, GaussianRational) else gauss(kappa)
-    return PoissonChart({"t": "log", "z": "log"}, {("t", "z"): -k})
+    return PoissonChart({"t": "log", "z": "log"}, {("t", "z"): -1})
 
 
 # -- closure reports -----------------------------------------------------------------
@@ -136,26 +134,10 @@ class ClosureReport:
         return all(p.member for p in self.pairs) and all(j.zero for j in self.jacobi)
 
     def to_dict(self) -> dict:
-        return {
-            "flavor": self.flavor,
-            "pairs": [
-                {
-                    "f": p.f,
-                    "g": p.g,
-                    "bracket": p.bracket,
-                    "member": p.member,
-                    "certificate": p.certificate,
-                }
-                for p in self.pairs
-            ],
-            "jacobi": [{"triple": list(j.triple), "zero": j.zero} for j in self.jacobi],
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
-def bracket_closure_check(
-    B: BlowupAlgebra, chart: PoissonChart | None = None, kappa=1
-) -> ClosureReport:
+def bracket_closure_check(B: BlowupAlgebra, kappa: GaussianRational | int = 1) -> ClosureReport:
     """Brackets of all invariant generator pairs must land back in the ring.
 
     The generators are the W-invariant fraction generators of the undotted
@@ -163,8 +145,7 @@ def bracket_closure_check(
     the blow-up quotient certifies closure of the Poisson structure.
     Failures are reported per pair, never silently dropped.
     """
-    if chart is None:
-        chart = standard_chart(B, kappa)
+    chart = standard_chart(B, kappa)
     gens = list(B.invariant_gens)
     if not gens:
         raise ChartError(f"no invariant generators known for flavor {B.flavor}")

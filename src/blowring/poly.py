@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import re as _re
 from fractions import Fraction
+from math import gcd, lcm
 from operator import add, itemgetter, neg
 from typing import Mapping, Sequence
 
-from .scalars import GaussianRational, ONE, ZERO, gauss
+from .scalars import GaussianRational, ONE, ZERO, gauss, power
 
 Exps = tuple[int, ...]
 
@@ -193,17 +194,7 @@ class LaurentPoly:
         return NotImplemented
 
     def __pow__(self, n: int) -> "LaurentPoly":
-        if n < 0:
-            return self.monomial_inverse() ** (-n)
-        result = LaurentPoly.const(1, self.vars)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return power(self if n >= 0 else self.monomial_inverse(), abs(n), LaurentPoly.const(1, self.vars))
 
     def monomial_inverse(self) -> "LaurentPoly":
         if len(self.terms) != 1:
@@ -315,28 +306,6 @@ class LaurentPoly:
                 terms.pop(key, None)
         return LaurentPoly(out_vars, terms)
 
-    def substitute(self, images: Mapping[str, "LaurentPoly"]) -> "LaurentPoly":
-        """General substitution; negative exponents require invertible images."""
-        inv_cache: dict[str, LaurentPoly] = {}
-        result = LaurentPoly.zero()
-        for exps, coeff in self.terms.items():
-            part = LaurentPoly.const(coeff)
-            for v, e in zip(self.vars, exps):
-                if not e:
-                    continue
-                if v in images:
-                    img = images[v]
-                    if e > 0:
-                        part = part * img ** e
-                    else:
-                        if v not in inv_cache:
-                            inv_cache[v] = img.monomial_inverse()
-                        part = part * inv_cache[v] ** (-e)
-                else:
-                    part = part * LaurentPoly((v,), {(e,): ONE})
-            result = result + part
-        return result
-
     # -- normalization ------------------------------------------------------
 
     def scaled_primitive(self) -> tuple[GaussianRational, "LaurentPoly"]:
@@ -348,20 +317,9 @@ class LaurentPoly:
         """
         if not self.terms:
             return ONE, self
-        denoms = []
-        for c in self.terms.values():
-            denoms.append(c.re.denominator)
-            denoms.append(c.im.denominator)
-        scale = 1
-        for d in denoms:
-            scale = scale * d // _gcd(scale, d)
-        nums = []
-        for c in self.terms.values():
-            nums.append(abs(c.re.numerator * scale // c.re.denominator))
-            nums.append(abs(c.im.numerator * scale // c.im.denominator))
-        g = 0
-        for n in nums:
-            g = _gcd(g, n)
+        parts = [q for c in self.terms.values() for q in (c.re, c.im)]
+        scale = lcm(*(q.denominator for q in parts))
+        g = gcd(*(q.numerator * scale // q.denominator for q in parts))
         factor = gauss(Fraction(g, scale)) if g else ONE
         prim = self * factor.inverse()
         lead = prim.terms[_display_leader(prim)]
@@ -382,12 +340,6 @@ class LaurentPoly:
 _new = object.__new__
 _set_vars = LaurentPoly.vars.__set__
 _set_terms = LaurentPoly.terms.__set__
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def _display_key(exps: Exps):

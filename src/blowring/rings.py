@@ -15,7 +15,7 @@ normal form is canonical.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .fractions import RingFraction, RingMap
 from .groebner import Elimination, Ideal, PolyRing, check_terms
@@ -29,12 +29,10 @@ class PresentedRing:
         laurent_vars: Sequence[str],
         poly_vars: Sequence[str],
         relations: Sequence[LaurentPoly] = (),
-        grading: Mapping[str, int] | None = None,
     ):
         self.laurent_vars = tuple(laurent_vars)
         self.poly_vars = tuple(poly_vars)
         self.relations = list(relations)
-        self.grading = dict(grading) if grading else None
         self._vars = self.laurent_vars + self.poly_vars
         # ambient order: v, v' for each invertible v, then the polynomial variables
         self._ambient = tuple(w for v in self.laurent_vars for w in (v, v + "'")) + self.poly_vars
@@ -150,25 +148,6 @@ class PresentedRing:
         if oracle is None:
             oracle = self._oracles[key] = SubalgebraOracle(self, generators, tags)
         return oracle
-
-    # -- grading -------------------------------------------------------------------
-
-    def weight_of(self, f: LaurentPoly) -> int | None:
-        """The common grading weight of f's terms, or None if inhomogeneous."""
-        if self.grading is None:
-            raise ValueError("ring carries no grading")
-        weights = set()
-        for exps in f.terms:
-            w = 0
-            for v, e in zip(f.vars, exps):
-                if e:
-                    w += self.grading[v] * e
-            weights.add(w)
-        if not weights:
-            return 0
-        if len(weights) > 1:
-            return None
-        return weights.pop()
 
     def __repr__(self):
         rel = ", ".join(str(r) for r in self.relations) or "0"

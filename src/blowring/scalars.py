@@ -108,17 +108,7 @@ class GaussianRational:
         return other / self
 
     def __pow__(self, n: int) -> "GaussianRational":
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return power(self if n >= 0 else self.inverse(), abs(n), ONE)
 
     # -- structure --------------------------------------------------------
 
@@ -201,3 +191,19 @@ I = GaussianRational(0, 1)
 def gauss(re: RatLike = 0, im: RatLike = 0) -> GaussianRational:
     """Shorthand constructor."""
     return GaussianRational(re, im)
+
+
+def power(base, n: int, one):
+    """base ** n for n >= 0 by square-and-multiply, starting from ``one``.
+
+    It makes popcount(n) + bit_length(n) - 1 products: no square above the
+    top bit of n.
+    """
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result

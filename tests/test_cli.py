@@ -199,6 +199,16 @@ class TestCompute:
         assert data["passed"] is True
         assert {"f", "g", "bracket", "member", "certificate"} <= set(data["pairs"][0])
 
+    def test_bracket_prints_as_closure_does(self, capsys):
+        _, out, _ = run_cli(capsys, "compute", "closure", "--flavor", "GG", "--output", "json")
+        for pair in json.loads(out)["pairs"]:
+            code, out, _ = run_cli(
+                capsys, "compute", "bracket", "--flavor", "GG", pair["f"], pair["g"], "--output", "json"
+            )
+            assert code == EXIT_OK
+            data = json.loads(out)
+            assert (data["bracket"], data["certificate"]) == (pair["bracket"], pair["certificate"])
+
     def test_parse_error_exit_two(self, capsys):
         code, _, err = run_cli(capsys, "compute", "multiply", "c", "b++")
         assert code == EXIT_ERROR

@@ -97,7 +97,7 @@ class TestPoissonLimit:
 
     def test_matches_chart_bracket(self):
         rng = random.Random(37)
-        chart = torus_chart(1)
+        chart = torus_chart()
         for _ in range(10):
             lam1, mu1 = (rng.randint(-3, 3),), (rng.randint(-3, 3),)
             lam2, mu2 = (rng.randint(-3, 3),), (rng.randint(-3, 3),)
@@ -118,7 +118,7 @@ class TestPoissonLimit:
 
     def test_jacobi_on_monomials(self):
         rng = random.Random(41)
-        chart = torus_chart(1)
+        chart = torus_chart()
         for _ in range(20):
             monos = [
                 torus_monomial((rng.randint(-2, 2),), (rng.randint(-2, 2),))

@@ -11,6 +11,9 @@ module but ``scalars.py`` may name them; the rest reads ``re`` and ``im``.
 only the arithmetic of ``poly.py`` and ``groebner.py``, which builds clean
 terms, may name it.
 
+Powers are raised by one square-and-multiply loop, ``scalars.power``; every
+``__pow__`` calls it, so no other module halves an exponent (``n >>= 1``).
+
 Every public function, class and method is named somewhere in ``src`` outside
 its own definition and the package's re-exports: a name only tests call is
 dead code, even if ``__init__.py`` re-exports it. The scan matches methods by
@@ -133,6 +136,16 @@ TRUSTED_CONSTRUCTOR_USERS = {"poly.py", "groebner.py"}
 def test_trusted_constructor_stays_in_the_kernel(name):
     named = "_make" in set(_names(_tree(name)))
     assert named == (name in TRUSTED_CONSTRUCTOR_USERS), f"{name}: names LaurentPoly._make is {named}"
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SRC.glob("*.py") if p.name != "scalars.py"))
+def test_powers_are_raised_in_scalars(name):
+    shifts = [
+        ast.unparse(node)
+        for node in ast.walk(_tree(name))
+        if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.RShift)
+    ]
+    assert not shifts, f"{name} halves an exponent itself ({shifts}); raise powers with scalars.power"
 
 
 # public names kept although no src module names them (ROADMAP item 10)

@@ -89,7 +89,7 @@ class TestStandardCharts:
         assert chart.bracket(y, z) == RingFraction(-(y * z))
 
     def test_torus_chart_pairing(self):
-        chart = torus_chart(1)
+        chart = torus_chart()
         tvar, zvar = LaurentPoly.gens("t z")
         assert chart.bracket(tvar, zvar) == RingFraction(-(tvar * zvar))
         assert chart.bracket(tvar**2, zvar**3) == RingFraction(tvar**2 * zvar**3 * -6)
