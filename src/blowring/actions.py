@@ -10,6 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
+from .fractions import RingFraction
 from .poly import LaurentPoly
 from .rings import PresentedRing
 from .scalars import ONE, GaussianRational
@@ -24,7 +25,7 @@ class GroupCapExceeded(RuntimeError):
 
 
 class Substitution:
-    """A ring automorphism v -> c * prod(w^e); unmapped variables are fixed."""
+    """A ring automorphism v -> c * prod(w^e) of polynomials and fractions; unmapped variables are fixed."""
 
     __slots__ = ("images",)
 
@@ -56,7 +57,9 @@ class Substitution:
     def image_of(self, var: str) -> Image:
         return self.images.get(var, (ONE, {var: 1}))
 
-    def __call__(self, f: LaurentPoly) -> LaurentPoly:
+    def __call__(self, f: LaurentPoly | RingFraction) -> LaurentPoly | RingFraction:
+        if isinstance(f, RingFraction):
+            return RingFraction(self(f.num), self(f.den))
         return f.substitute_monomials(self.images)
 
     def compose(self, other: "Substitution") -> "Substitution":
@@ -89,9 +92,6 @@ class Substitution:
 
     def __hash__(self):
         return hash(self._canonical())
-
-    def is_identity(self) -> bool:
-        return not self._canonical()
 
     def __repr__(self):
         body = ", ".join(
@@ -139,7 +139,7 @@ class GroupAction:
             total = total + g(f)
         return total * Fraction(1, len(els))
 
-    def is_invariant(self, f: LaurentPoly) -> bool:
+    def is_invariant(self, f: LaurentPoly | RingFraction) -> bool:
         return all(s(f) == f for s in self.generators)
 
 

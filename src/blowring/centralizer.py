@@ -2,23 +2,24 @@
 
 The two Kostant slices are explicit 2x2 matrix families with M21 = 1, so their
 commutants are the free modules on I and M (the rank-1 regular-centralizer
-lemma), verified by substitution. The four models carry their diagonalization
-parametrizations and involutions, and their identifications with the blow-up
-algebras are checked by kernel computation plus two-sided bounded subalgebra
-containment.
+lemma), verified by substitution. The four models are one table that writes each
+coordinate as a polynomial in its blow-up's invariant generators; a model reads them
+from the caller's blow-up, and its identification is checked against the blow-up's
+Weyl group by kernel computation plus two-sided bounded subalgebra containment.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .actions import GroupAction, Substitution, _symmetrized_candidates, invariant_generators
-from .blowup import BlowupAlgebra, membership
-from .fractions import RingFraction, RingMap
+from .blowup import BlowupAlgebra, build_blowup, membership
+from .fractions import RingMap
 from .groebner import Ideal
 from .poly import LaurentPoly, parse_poly
 from .rings import PresentedRing, kernel_of_map
+from .rootdata import sl2
 from .scalars import gauss
 
 I = gauss(0, 1)
@@ -200,6 +201,39 @@ def general_commutant_element(slice_flavor: str, M: ParametricMatrix) -> Paramet
 # -- the four slice models -----------------------------------------------------------
 
 
+class ModelRow(NamedTuple):
+    """A declared model: its blow-up's flavor, coordinates, relation, involutions, and each coordinate
+    as a polynomial in that flavor's invariant generators g1, g2, ... (``BlowupAlgebra.invariant_gens``)."""
+
+    flavor: str
+    coords: tuple[str, ...]
+    relation: str | None
+    involutions: dict[str, dict[str, str]]
+    images: tuple[str, ...]
+
+
+MODELS = {
+    # GG's generators: g1 = y + y^-1, g2 = z + z^-1, g3 = (y - y^-1)/(z - z^-1)
+    "S": ModelRow(
+        "GG",
+        ("a", "b", "c"),
+        "a*b*c - b^2 - c^2 - 1",
+        {"iota": {"b": "-b", "c": "-c"}, "jmath": {"a": "-a", "c": "-c"}},
+        ("g2", "-1/2*i*g1 - 1/2*i*g2*g3", "-i*g3"),
+    ),
+    "S-prime": ModelRow(
+        "gG",
+        ("delta", "xi", "eta"),
+        "xi^2 - delta*eta^2 - 1",
+        {"iota": {"xi": "-xi", "eta": "-eta"}},
+        ("g1", "g2", "g3"),
+    ),
+    "A2-Gg": ModelRow("Gg", ("a", "zeta"), None, {"jmath": {"a": "-a", "zeta": "-zeta"}}, ("g1", "g2")),
+    "A2-gg": ModelRow("gg", ("delta", "theta"), None, {}, ("g1", "g2")),
+}
+MODEL_NAMES = tuple(MODELS)
+
+
 @dataclass
 class SliceModel:
     name: str
@@ -208,10 +242,11 @@ class SliceModel:
     relation_str: str | None
     parametrization: RingMap
     involutions: dict[str, Substitution]
-    deck: Substitution
-    blowup_flavor: str
-    source_laurent: tuple[str, ...]
-    source_poly: tuple[str, ...]
+    blowup: BlowupAlgebra
+
+    @property
+    def blowup_flavor(self) -> str:
+        return self.blowup.flavor
 
     def action(self, which: Iterable[str]) -> GroupAction:
         """The group generated by the named involutions."""
@@ -229,104 +264,24 @@ class SliceModel:
         return f"<SliceModel {self.name}: coords {self.coords}, relation {rel}>"
 
 
-MODEL_NAMES = ("S", "S-prime", "A2-Gg", "A2-gg")
-
-
-def model(name: str) -> SliceModel:
-    """The hypersurface/affine-plane models with their defining data."""
-    build = _MODELS.get(name)
-    if build is None:
+def model(name: str, blowup: Callable[[str], BlowupAlgebra] | None = None) -> SliceModel:
+    """The declared model, parametrized through the invariant generators of the blow-up
+    ``blowup(flavor)`` returns: the caller's builder, or a fresh build if none is given."""
+    name = "S-prime" if name == "S'" else name
+    if name not in MODELS:
         raise CentralizerError(f"unknown model {name!r}; expected one of {MODEL_NAMES}")
-    return build()
-
-
-def _model_S() -> SliceModel:
-    y, z = LaurentPoly.gens("y z")
-    i = LaurentPoly.const(I)
-    dz = z - z**-1
-    a_img = RingFraction(z + z**-1)
-    b_img = RingFraction(-i * ((y + y**-1) * dz + (y - y**-1) * (z + z**-1)), dz * 2)
-    c_img = RingFraction(-i * (y - y**-1), dz)
+    row = MODELS[name]
+    B = blowup(row.flavor) if blowup else build_blowup(sl2(), row.flavor)
+    gens = RingMap({f"g{k}": g for k, g in enumerate(B.invariant_gens, 1)})
     return SliceModel(
-        name="S",
-        coords=("a", "b", "c"),
-        relation=parse_poly("a*b*c - b^2 - c^2 - 1"),
-        relation_str="a*b*c - b^2 - c^2 - 1",
-        parametrization=RingMap({"a": a_img, "b": b_img, "c": c_img}),
-        involutions={
-            "iota": Substitution.parse({"b": "-b", "c": "-c"}),
-            "jmath": Substitution.parse({"a": "-a", "c": "-c"}),
-        },
-        deck=Substitution.parse({"y": "y^-1", "z": "z^-1"}),
-        blowup_flavor="GG",
-        source_laurent=("y", "z"),
-        source_poly=(),
+        name=name,
+        coords=row.coords,
+        relation=parse_poly(row.relation) if row.relation else None,
+        relation_str=row.relation,
+        parametrization=RingMap({c: gens(parse_poly(img)) for c, img in zip(row.coords, row.images)}),
+        involutions={k: Substitution.parse(table) for k, table in row.involutions.items()},
+        blowup=B,
     )
-
-
-def _model_S_prime() -> SliceModel:
-    y, x = LaurentPoly.var("y"), LaurentPoly.var("x")
-    return SliceModel(
-        name="S-prime",
-        coords=("delta", "xi", "eta"),
-        relation=parse_poly("xi^2 - delta*eta^2 - 1"),
-        relation_str="xi^2 - delta*eta^2 - 1",
-        parametrization=RingMap(
-            {
-                "delta": RingFraction(x * x),
-                "xi": RingFraction(y + y**-1, LaurentPoly.const(2)),
-                "eta": RingFraction(y - y**-1, x * 2),
-            }
-        ),
-        involutions={"iota": Substitution.parse({"xi": "-xi", "eta": "-eta"})},
-        deck=Substitution.parse({"y": "y^-1", "x": "-x"}),
-        blowup_flavor="gG",
-        source_laurent=("y",),
-        source_poly=("x",),
-    )
-
-
-def _model_A2_Gg() -> SliceModel:
-    z, x = LaurentPoly.var("z"), LaurentPoly.var("x")
-    return SliceModel(
-        name="A2-Gg",
-        coords=("a", "zeta"),
-        relation=None,
-        relation_str=None,
-        parametrization=RingMap(
-            {"a": RingFraction(z + z**-1), "zeta": RingFraction(x, z - z**-1)}
-        ),
-        involutions={"jmath": Substitution.parse({"a": "-a", "zeta": "-zeta"})},
-        deck=Substitution.parse({"x": "-x", "z": "z^-1"}),
-        blowup_flavor="Gg",
-        source_laurent=("z",),
-        source_poly=("x",),
-    )
-
-
-def _model_A2_gg() -> SliceModel:
-    u, x = LaurentPoly.var("u"), LaurentPoly.var("x")
-    return SliceModel(
-        name="A2-gg",
-        coords=("delta", "theta"),
-        relation=None,
-        relation_str=None,
-        parametrization=RingMap({"delta": RingFraction(x * x), "theta": RingFraction(u, x)}),
-        involutions={},
-        deck=Substitution.parse({"u": "-u", "x": "-x"}),
-        blowup_flavor="gg",
-        source_laurent=(),
-        source_poly=("u", "x"),
-    )
-
-
-_MODELS = {
-    "S": _model_S,
-    "S-prime": _model_S_prime,
-    "S'": _model_S_prime,
-    "A2-Gg": _model_A2_Gg,
-    "A2-gg": _model_A2_gg,
-}
 
 
 # -- verification ---------------------------------------------------------------------
@@ -346,7 +301,10 @@ def verify_parametrization(m: SliceModel) -> bool:
 
 
 def model_kernel(m: SliceModel) -> Ideal:
-    return kernel_of_map(m.parametrization, m.coords, m.source_laurent, m.source_poly)
+    """The relations of the parametrization, over the blow-up ring's variables without T."""
+    ring = m.blowup.ring
+    poly = [v for v in ring.poly_vars if v not in m.blowup.gen_names]
+    return kernel_of_map(m.parametrization, m.coords, ring.laurent_vars, poly)
 
 
 def kernel_matches_relation(m: SliceModel, kernel: Ideal) -> bool:
@@ -387,17 +345,13 @@ def blowup_match(m: SliceModel, B: BlowupAlgebra, degree_bound: int = MATCH_BOX_
     """
     if m.blowup_flavor != B.flavor:
         raise CentralizerError(f"model {m.name} matches flavor {m.blowup_flavor}, got {B.flavor}")
-    images_invariant = True
+    images = m.parametrization.images
+    images_invariant = all(B.weyl.is_invariant(images[coord]) for coord in m.coords)
     members: dict[str, bool] = {}
     certs: dict[str, str] = {}
     certificates: list[LaurentPoly] = []
     for coord in m.coords:
-        frac = m.parametrization.images[coord]
-        if m.deck.compose(m.deck).is_identity():
-            acted = RingFraction(m.deck(frac.num), m.deck(frac.den))
-            if acted != frac:
-                images_invariant = False
-        res = membership(frac, B)
+        res = membership(images[coord], B)
         members[coord] = res.member
         if res.member:
             certs[coord] = str(res.certificate)

@@ -87,7 +87,7 @@ class RingFraction:
         return RingFraction.of(other) * self.inverse()
 
     def __pow__(self, n: int) -> "RingFraction":
-        return power(self if n >= 0 else self.inverse(), abs(n), RingFraction.of(LaurentPoly.const(1)))
+        return power(self if n >= 0 else self.inverse(), abs(n), RingFraction(LaurentPoly.const(1, self.num.vars)))
 
     # -- structure ---------------------------------------------------------
 
@@ -152,9 +152,11 @@ class RingMap:
         self.images = {k: RingFraction.of(v) for k, v in images.items()}
 
     def __call__(self, f: LaurentPoly) -> RingFraction:
-        total = RingFraction.of(LaurentPoly.zero())
+        # the sum and each term start over the images' variables, so no product re-aligns them
+        vars = tuple(dict.fromkeys(v for q in self.images.values() for p in (q.num, q.den) for v in p.vars))
+        total = RingFraction(LaurentPoly.zero(vars))
         for exps, coeff in f.terms.items():
-            part = RingFraction.of(LaurentPoly.const(coeff))
+            part = RingFraction(LaurentPoly.const(coeff, vars))
             for v, e in zip(f.vars, exps):
                 if not e:
                     continue

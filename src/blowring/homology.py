@@ -8,7 +8,8 @@ basis {1, xi}.
 
 from __future__ import annotations
 
-from .centralizer import isogeny_invariants, model
+from .actions import GroupAction, Substitution, invariant_generators
+from .centralizer import MODELS
 from .groebner import BlockOrder, Ideal, PolyRing
 from .poly import LaurentPoly, parse_poly
 from .rings import PresentedRing
@@ -64,4 +65,5 @@ class BMRing:
 
     def invariant_subalgebra(self) -> list[LaurentPoly]:
         """Generators of the even subring via the hypersurface model involution."""
-        return isogeny_invariants(model("S-prime"), ["iota"])
+        iota = Substitution.parse(MODELS["S-prime"].involutions["iota"])
+        return invariant_generators(GroupAction([iota]), poly_vars=self.coords)

@@ -14,8 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+from .actions import GroupAction, Substitution
 from .blowup import BlowupAlgebra, build_blowup, membership, wall_adic_form
-from .centralizer import model
+from .centralizer import MODELS, model
 from .fractions import RingFraction, RingMap
 from .poly import LaurentPoly, parse_poly
 from .rings import PresentedRing, SubalgebraOracle
@@ -75,7 +76,7 @@ def v_dictionary(n: int, m: int) -> LaurentPoly:
 
 
 def abstract_ring(relation: LaurentPoly | None = None) -> PresentedRing:
-    rel = relation if relation is not None else model("S").relation
+    rel = relation if relation is not None else parse_poly(MODELS["S"].relation)
     return PresentedRing((), ("a", "b", "c"), [rel])
 
 
@@ -91,16 +92,17 @@ def subring_filter(f: LaurentPoly, side: str) -> bool:
     """
     if side not in _SIDES:
         raise KRingError(f"unknown side {side!r} (want 'G', 'Gv' or 'both')")
-    return model("S").action(_SIDES[side]).is_invariant(f)
+    involutions = MODELS["S"].involutions
+    return GroupAction(Substitution.parse(involutions[w]) for w in _SIDES[side]).is_invariant(f)
 
 
 class KRing:
     """The three isomorphic presentations with conversion maps."""
 
     def __init__(self, blowup: BlowupAlgebra | None = None):
-        self.model = model("S")
-        self.ring = abstract_ring()
         self.blowup = blowup or build_blowup(sl2(), "GG")
+        self.model = model("S", lambda flavor: self.blowup)
+        self.ring = abstract_ring(self.model.relation)
         self._to_blowup_certs: dict[str, LaurentPoly] | None = None
 
     # -- certificates of the abstract generators inside the blow-up ----------
@@ -145,9 +147,7 @@ class KRing:
         return wall_adic_form(RingMap(certs)(f).as_poly(), self.blowup)
 
     def localized_to_blowup(self, frac: RingFraction) -> LaurentPoly:
-        deck = self.model.deck
-        acted = RingFraction(deck(frac.num), deck(frac.den))
-        if acted != frac:
+        if not self.blowup.weyl.is_invariant(frac):
             raise KRingError("localized element is not Weyl-invariant")
         res = membership(frac, self.blowup)
         if not res.member:

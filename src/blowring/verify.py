@@ -157,7 +157,7 @@ def suite_centralizer(cfg: Config, read: Callable, blowup: Callable[[str], Blowu
         lambda: det_is("lie", "xi^2 - delta*eta^2"),
     )
     for name in cz.MODEL_NAMES:
-        m = read(f"centralizer:{name}", cz.model(name))
+        m = read(f"centralizer:{name}", cz.model(name, blowup))
         report.check(
             f"{name}: parametrization satisfies the relation, involutions preserve it",
             lambda: cz.verify_parametrization(m),
@@ -168,10 +168,9 @@ def suite_centralizer(cfg: Config, read: Callable, blowup: Callable[[str], Blowu
             return cz.kernel_matches_relation(m, kernel), "; ".join(str(g) for g in kernel.groebner()) or "0"
 
         report.check(f"{name}: implicitization kernel equals the model relation", kernel_is_relation)
-        B = blowup(m.blowup_flavor)
 
         def identification():
-            match = cz.blowup_match(m, B)
+            match = cz.blowup_match(m, m.blowup)
             return match.passed, str(match.certificates)
 
         report.check(
@@ -186,7 +185,7 @@ def suite_centralizer(cfg: Config, read: Callable, blowup: Callable[[str], Blowu
     for (name, which), want in expected.items():
 
         def invariants():
-            got = {str(g) for g in cz.isogeny_invariants(cz.model(name), which)}
+            got = {str(g) for g in cz.isogeny_invariants(cz.model(name, blowup), which)}
             return got == want, str(sorted(got))
 
         report.check(f"{name}: invariants under {'+'.join(which)} are {sorted(want)}", invariants)
@@ -195,7 +194,7 @@ def suite_centralizer(cfg: Config, read: Callable, blowup: Callable[[str], Blowu
 
 def suite_kring(cfg: Config, read: Callable, blowup: Callable[[str], BlowupAlgebra]) -> Report:
     report = Report("kring", cfg.timing)
-    star = read("kring", cz.model("S").relation)
+    star = read("kring", cz.model("S", blowup).relation)
     ring = abstract_ring(star)
     a, b, c = (parse_poly(s, vars=("a", "b", "c")) for s in "abc")
 
@@ -300,7 +299,7 @@ def suite_homology(cfg: Config, read: Callable, blowup: Callable[[str], BlowupAl
         return got == {"delta", "xi^2", "eta^2", "xi*eta"}, str(sorted(got))
 
     def matches_model():
-        m = cz.model("S-prime")
+        m = cz.model("S-prime", blowup)
         kernel = cz.model_kernel(m)
         matches = cz.kernel_matches_relation(replace(m, relation=ring.relation), kernel)
         return matches, "; ".join(str(p) for p in kernel.groebner())

@@ -75,13 +75,29 @@ def random_gaussian(rng: random.Random, span: int = 7) -> GaussianRational:
 
 
 def evaluate(f: LaurentPoly, point: dict[str, GaussianRational]) -> GaussianRational:
-    """The exact value of f at a point with nonzero coordinates."""
+    """The exact value of f at a point with nonzero coordinates; f may name variables the
+    point leaves out if their exponents are all zero."""
     total = gauss(0)
     for exps, coeff in f.terms.items():
         for v, e in zip(f.vars, exps):
-            coeff = coeff * point[v] ** e
+            if e:
+                coeff = coeff * point[v] ** e
         total = total + coeff
     return total
+
+
+def record_realignments(monkeypatch) -> list:
+    """Record every LaurentPoly.with_vars call that changes a variable list."""
+    calls = []
+    original = LaurentPoly.with_vars
+
+    def counting(self, vars):
+        if tuple(vars) != self.vars:
+            calls.append((self.vars, tuple(vars)))
+        return original(self, vars)
+
+    monkeypatch.setattr(LaurentPoly, "with_vars", counting)
+    return calls
 
 
 def pgl2() -> RootDatum:

@@ -218,6 +218,15 @@ class TestBlowupMatch:
         assert not report.passed
         assert "z + z^-1" in report.failed_invariants
 
+    def test_non_invariant_image_fails_the_match(self, blowups):
+        # x lies in the gg blow-up, but w(x) = -x
+        m = model("A2-gg", blowups.get)
+        images = dict(m.parametrization.images, delta=RingFraction(LaurentPoly.var("x")))
+        report = blowup_match(replace(m, parametrization=RingMap(images)), blowups["gg"])
+        assert report.image_members == {"delta": True, "theta": True}
+        assert not report.images_invariant
+        assert not report.passed
+
     def test_image_certificates(self, blowups):
         report = blowup_match(model("A2-gg"), blowups["gg"], degree_bound=2)
         assert report.certificates["theta"] == "T"

@@ -12,6 +12,8 @@ from blowring.fractions import RingFraction
 from blowring.poly import LaurentPoly
 from blowring.scalars import gauss
 
+from conftest import record_realignments
+
 NAMES = ("x", "y", "z")
 
 coeffs = st.builds(
@@ -173,3 +175,13 @@ def test_equal_denominators_multiply_no_polynomials(monkeypatch):
     monkeypatch.undo()
     assert _same(total, (x + y**2 + x * y - 3, a.den))
     assert _same(diff, (x + y**2 - x * y + 3, a.den))
+
+
+def test_powers_stay_over_their_variables(monkeypatch):
+    y = LaurentPoly.var("y").with_vars(("y", "z", "T"))
+    f = RingFraction(y + y**-1)
+    calls = record_realignments(monkeypatch)
+    cube, one = f**3, f**0
+    assert calls == []
+    assert cube.num.vars == one.num.vars == ("y", "z", "T")
+    assert one == 1

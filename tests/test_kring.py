@@ -14,6 +14,8 @@ from blowring.kring import (
 from blowring.poly import LaurentPoly, parse_poly
 from blowring.scalars import gauss
 
+from conftest import record_realignments
+
 y, z = LaurentPoly.gens("y z")
 a, b, c = (parse_poly(s, vars=("a", "b", "c")) for s in "abc")
 RING = abstract_ring()
@@ -141,6 +143,15 @@ class TestPresentations:
     def test_blowup_element_outside_subring(self, K):
         with pytest.raises(KRingError):
             K.blowup_to_abstract(y)
+
+    def test_conversions_realign_no_variable_list(self, K, monkeypatch):
+        # the images and the certificates lie over the blow-up ring's (y, z, T)
+        f = a**3 + a * b * c - c**2
+        K.generator_certificates()
+        calls = record_realignments(monkeypatch)
+        K.abstract_to_blowup(f)
+        K.abstract_to_localized(f)
+        assert calls == []
 
 
 class TestLocalization:

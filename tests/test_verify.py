@@ -1,8 +1,9 @@
 """One verify run shares its blow-ups and oracles, and a corruption stays local.
 
-``run_suite`` hands every suite one memoized blow-up builder, and a ring
-builds each subalgebra oracle once, so the ``S <-> GG`` identification and the
-K-ring's conversion back from the blow-up use one oracle. A corrupted GG
+``run_suite`` hands every suite one memoized blow-up builder, which the slice
+models read through too, and a ring builds each subalgebra oracle once, so the
+``S <-> GG`` identification and the K-ring's conversion back from the blow-up
+use one oracle. A corrupted GG
 blow-up is a new object, so only the blowup suite's GG records fail: the ones
 acceptance criterion 12 pins for ``blowup:GG`` run alone. A control outside
 the suite it is run on is an error, not a passing run.
@@ -13,6 +14,7 @@ from collections import Counter
 
 import pytest
 
+import blowring.centralizer as centralizer
 import blowring.kring as kring
 import blowring.verify as verify
 from blowring.kring import KRing
@@ -39,7 +41,7 @@ def test_all_builds_each_blowup_and_oracle_once(monkeypatch):
         original_init(self, ring, generators, tags)
         oracles.append(self)
 
-    for module in (verify, kring):
+    for module in (verify, kring, centralizer):
         monkeypatch.setattr(module, "build_blowup", counting_build)
     monkeypatch.setattr(SubalgebraOracle, "__init__", recording_init)
     report = verify.run_suite("all", Config(), corrupt="blowup:GG")
