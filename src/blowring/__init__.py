@@ -43,7 +43,6 @@ from .centralizer import (
 )
 from .kring import KRing, VClass, subring_filter, v_dictionary
 from .heisenberg import HeisenbergElement, poisson_from_q
-from .homology import BMRing
 from .fusion import FusionExpansion, consistency_sweep, fusion_table
 from .reports import Config, Report
 from .verify import run_suite

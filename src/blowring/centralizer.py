@@ -2,16 +2,20 @@
 
 The two Kostant slices are explicit 2x2 matrix families with M21 = 1, so their
 commutants are the free modules on I and M (the rank-1 regular-centralizer
-lemma), verified by substitution. The four models are one table that writes each
-coordinate as a polynomial in its blow-up's invariant generators; a model reads them
-from the caller's blow-up, and its identification is checked against the blow-up's
-Weyl group by kernel computation plus two-sided bounded subalgebra containment.
+lemma), verified by substitution. The four models are one table: coordinates,
+relation, involutions, and each coordinate as a polynomial in its blow-up's
+invariant generators. ``declared`` returns a model's row, parsed on first use;
+the homology ring, the abstract K-ring and the invariant computations read only
+that. ``model`` parametrizes a row through the caller's blow-up, and its
+identification is checked against the blow-up's Weyl group by kernel
+computation plus two-sided bounded subalgebra containment.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Sequence
+from functools import cache
+from typing import Callable, Iterable, Sequence
 
 from .actions import GroupAction, Substitution, _symmetrized_candidates, invariant_generators
 from .blowup import BlowupAlgebra, build_blowup, membership
@@ -201,52 +205,19 @@ def general_commutant_element(slice_flavor: str, M: ParametricMatrix) -> Paramet
 # -- the four slice models -----------------------------------------------------------
 
 
-class ModelRow(NamedTuple):
-    """A declared model: its blow-up's flavor, coordinates, relation, involutions, and each coordinate
-    as a polynomial in that flavor's invariant generators g1, g2, ... (``BlowupAlgebra.invariant_gens``)."""
-
-    flavor: str
-    coords: tuple[str, ...]
-    relation: str | None
-    involutions: dict[str, dict[str, str]]
-    images: tuple[str, ...]
-
-
-MODELS = {
-    # GG's generators: g1 = y + y^-1, g2 = z + z^-1, g3 = (y - y^-1)/(z - z^-1)
-    "S": ModelRow(
-        "GG",
-        ("a", "b", "c"),
-        "a*b*c - b^2 - c^2 - 1",
-        {"iota": {"b": "-b", "c": "-c"}, "jmath": {"a": "-a", "c": "-c"}},
-        ("g2", "-1/2*i*g1 - 1/2*i*g2*g3", "-i*g3"),
-    ),
-    "S-prime": ModelRow(
-        "gG",
-        ("delta", "xi", "eta"),
-        "xi^2 - delta*eta^2 - 1",
-        {"iota": {"xi": "-xi", "eta": "-eta"}},
-        ("g1", "g2", "g3"),
-    ),
-    "A2-Gg": ModelRow("Gg", ("a", "zeta"), None, {"jmath": {"a": "-a", "zeta": "-zeta"}}, ("g1", "g2")),
-    "A2-gg": ModelRow("gg", ("delta", "theta"), None, {}, ("g1", "g2")),
-}
-MODEL_NAMES = tuple(MODELS)
-
-
 @dataclass
-class SliceModel:
+class ModelRow:
+    """A declared model, parsed from its ``MODELS`` entry: its blow-up's flavor, coordinates, relation,
+    involutions, and each coordinate as a polynomial in that flavor's invariant generators g1, g2, ...
+    (``BlowupAlgebra.invariant_gens``). Readers of the coordinate side need no blow-up."""
+
     name: str
+    flavor: str
     coords: tuple[str, ...]
     relation: LaurentPoly | None
     relation_str: str | None
-    parametrization: RingMap
     involutions: dict[str, Substitution]
-    blowup: BlowupAlgebra
-
-    @property
-    def blowup_flavor(self) -> str:
-        return self.blowup.flavor
+    images: tuple[LaurentPoly, ...]
 
     def action(self, which: Iterable[str]) -> GroupAction:
         """The group generated by the named involutions."""
@@ -261,27 +232,68 @@ class SliceModel:
 
     def __repr__(self):
         rel = self.relation_str or "0"
-        return f"<SliceModel {self.name}: coords {self.coords}, relation {rel}>"
+        return f"<{type(self).__name__} {self.name}: coords {self.coords}, relation {rel}>"
+
+
+# name -> (flavor, coordinates, relation, involution tables, each coordinate in the generators g1, g2, ...)
+MODELS = {
+    # GG's generators: g1 = y + y^-1, g2 = z + z^-1, g3 = (y - y^-1)/(z - z^-1)
+    "S": (
+        "GG",
+        ("a", "b", "c"),
+        "a*b*c - b^2 - c^2 - 1",
+        {"iota": {"b": "-b", "c": "-c"}, "jmath": {"a": "-a", "c": "-c"}},
+        ("g2", "-1/2*i*g1 - 1/2*i*g2*g3", "-i*g3"),
+    ),
+    "S-prime": (
+        "gG",
+        ("delta", "xi", "eta"),
+        "xi^2 - delta*eta^2 - 1",
+        {"iota": {"xi": "-xi", "eta": "-eta"}},
+        ("g1", "g2", "g3"),
+    ),
+    "A2-Gg": ("Gg", ("a", "zeta"), None, {"jmath": {"a": "-a", "zeta": "-zeta"}}, ("g1", "g2")),
+    "A2-gg": ("gg", ("delta", "theta"), None, {}, ("g1", "g2")),
+}
+MODEL_NAMES = tuple(MODELS)
+
+
+def declared(name: str) -> ModelRow:
+    """The declared row of model ``name`` (``S'`` names S-prime), parsed on first use, with no blow-up."""
+    name = "S-prime" if name == "S'" else name
+    if name not in MODELS:
+        raise CentralizerError(f"unknown model {name!r}; expected one of {MODEL_NAMES}")
+    return _parsed(name)
+
+
+@cache
+def _parsed(name: str) -> ModelRow:
+    flavor, coords, relation, involutions, images = MODELS[name]
+    rel = parse_poly(relation) if relation else None
+    subs = {k: Substitution.parse(table) for k, table in involutions.items()}
+    return ModelRow(name, flavor, coords, rel, relation, subs, tuple(map(parse_poly, images)))
+
+
+@dataclass(repr=False)
+class SliceModel(ModelRow):
+    """A declared row parametrized through a blow-up's invariant generators."""
+
+    parametrization: RingMap
+    blowup: BlowupAlgebra
+
+    @property
+    def blowup_flavor(self) -> str:
+        return self.blowup.flavor
 
 
 def model(name: str, blowup: Callable[[str], BlowupAlgebra] | None = None) -> SliceModel:
     """The declared model, parametrized through the invariant generators of the blow-up
     ``blowup(flavor)`` returns: the caller's builder, or a fresh build if none is given."""
-    name = "S-prime" if name == "S'" else name
-    if name not in MODELS:
-        raise CentralizerError(f"unknown model {name!r}; expected one of {MODEL_NAMES}")
-    row = MODELS[name]
+    row = declared(name)
     B = blowup(row.flavor) if blowup else build_blowup(sl2(), row.flavor)
     gens = RingMap({f"g{k}": g for k, g in enumerate(B.invariant_gens, 1)})
-    return SliceModel(
-        name=name,
-        coords=row.coords,
-        relation=parse_poly(row.relation) if row.relation else None,
-        relation_str=row.relation,
-        parametrization=RingMap({c: gens(parse_poly(img)) for c, img in zip(row.coords, row.images)}),
-        involutions={k: Substitution.parse(table) for k, table in row.involutions.items()},
-        blowup=B,
-    )
+    parametrization = RingMap({c: gens(img) for c, img in zip(row.coords, row.images)})
+    return SliceModel(**vars(row), parametrization=parametrization, blowup=B)
 
 
 # -- verification ---------------------------------------------------------------------
@@ -307,7 +319,7 @@ def model_kernel(m: SliceModel) -> Ideal:
     return kernel_of_map(m.parametrization, m.coords, ring.laurent_vars, poly)
 
 
-def kernel_matches_relation(m: SliceModel, kernel: Ideal) -> bool:
+def kernel_matches_relation(m: ModelRow, kernel: Ideal) -> bool:
     """Reduced-basis comparison of a computed kernel with the model relation."""
     gb = kernel.groebner()
     if m.relation is None:
@@ -365,7 +377,7 @@ def blowup_match(m: SliceModel, B: BlowupAlgebra, degree_bound: int = MATCH_BOX_
     return MatchReport(m.name, B.flavor, images_invariant, members, certs, failed)
 
 
-def isogeny_invariants(m: SliceModel, which: Iterable[str] = ("iota",)) -> list[LaurentPoly]:
+def isogeny_invariants(m: ModelRow, which: Iterable[str] = ("iota",)) -> list[LaurentPoly]:
     """Generators of the invariant subring of the model under its involutions,
     complete by Noether's bound (the involutions are signed coordinate flips)."""
     return invariant_generators(m.action(which), poly_vars=m.coords)

@@ -13,12 +13,7 @@ import sys
 from dataclasses import fields, replace
 
 from .blowup import FLAVORS, build_blowup, membership
-from .centralizer import (
-    MODEL_NAMES,
-    kernel_matches_relation,
-    model,
-    model_kernel,
-)
+from .centralizer import MODEL_NAMES, declared, kernel_matches_relation, model, model_kernel
 from .actions import invariant_generators
 from .fractions import RingFraction, parse_fraction
 from .fusion import fusion_table
@@ -141,16 +136,16 @@ def _compute_kernel(args, cfg) -> int:
 
 def _compute_invariants(args, cfg) -> int:
     _require(args.model, "invariants requires --model")
-    m = model(args.model)
-    action = m.action(w for w in args.which.split(",") if w)
+    row = declared(args.model)
+    action = row.action(w for w in args.which.split(",") if w)
     bound = args.degree_bound
     if bound is not None:
         _require(bound >= 1, f"--degree-bound must be positive, got {bound}")
         if bound < action.order():
             print(f"note: degree bound {bound} is below the group order {action.order()} "
                   "(Noether's bound); the list may be incomplete", file=sys.stderr)
-    gens = invariant_generators(action, poly_vars=m.coords, degree_bound=bound)
-    _emit(cfg, ", ".join(str(g) for g in gens), {"model": args.model, "generators": [str(g) for g in gens]})
+    gens = invariant_generators(action, poly_vars=row.coords, degree_bound=bound)
+    _emit(cfg, ", ".join(str(g) for g in gens), {"model": row.name, "generators": [str(g) for g in gens]})
     return EXIT_OK
 
 

@@ -1,6 +1,6 @@
 """The rank-1 convolution K-ring in its three presentations.
 
-Abstract: polynomials in a, b, c modulo the cubic hypersurface relation.
+Abstract: polynomials in a, b, c modulo the cubic relation of the declared S model.
 Localized: Weyl-invariant wall fractions in the torus coordinates y, z.
 Blow-up: elements of the GG blow-up quotient A[T]/(wall*T - n).
 
@@ -14,12 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .actions import GroupAction, Substitution
 from .blowup import BlowupAlgebra, build_blowup, membership, wall_adic_form
-from .centralizer import MODELS, model
+from .centralizer import declared, model
 from .fractions import RingFraction, RingMap
 from .poly import LaurentPoly, parse_poly
-from .rings import PresentedRing, SubalgebraOracle
+from .rings import SubalgebraOracle
 from .rootdata import sl2
 from .scalars import gauss
 
@@ -75,11 +74,6 @@ def v_dictionary(n: int, m: int) -> LaurentPoly:
     return parse_poly(_DICTIONARY[key], vars=("a", "b", "c"))
 
 
-def abstract_ring(relation: LaurentPoly | None = None) -> PresentedRing:
-    rel = relation if relation is not None else parse_poly(MODELS["S"].relation)
-    return PresentedRing((), ("a", "b", "c"), [rel])
-
-
 _SIDES = {"G": ("iota",), "Gv": ("jmath",), "both": ("iota", "jmath")}
 
 
@@ -92,8 +86,7 @@ def subring_filter(f: LaurentPoly, side: str) -> bool:
     """
     if side not in _SIDES:
         raise KRingError(f"unknown side {side!r} (want 'G', 'Gv' or 'both')")
-    involutions = MODELS["S"].involutions
-    return GroupAction(Substitution.parse(involutions[w]) for w in _SIDES[side]).is_invariant(f)
+    return declared("S").action(_SIDES[side]).is_invariant(f)
 
 
 class KRing:
@@ -102,7 +95,7 @@ class KRing:
     def __init__(self, blowup: BlowupAlgebra | None = None):
         self.blowup = blowup or build_blowup(sl2(), "GG")
         self.model = model("S", lambda flavor: self.blowup)
-        self.ring = abstract_ring(self.model.relation)
+        self.ring = self.model.coordinate_ring()
         self._to_blowup_certs: dict[str, LaurentPoly] | None = None
 
     # -- certificates of the abstract generators inside the blow-up ----------
@@ -196,7 +189,7 @@ class KRing:
 def dictionary_rederivations() -> dict[str, Callable[[], bool]]:
     """Re-derive the consequence entries from the generator equations, one thunk per entry."""
     a, b, c = (parse_poly(s, vars=("a", "b", "c")) for s in "abc")
-    ring = abstract_ring()
+    ring = declared("S").coordinate_ring()
     return {
         "v(-1)_1 from the evident relation": lambda: ring.equal(a * b, v_dictionary(1, 1) + v_dictionary(-1, 1)),
         "v(0)_2 = v(0)_1 * v(0)_1": lambda: ring.equal(b * b, v_dictionary(0, 2)),

@@ -13,8 +13,10 @@ identification and the K-ring share one. The builder lives for one
 ``run_suite`` call.
 
 ``CONTROLS`` declares the negative controls. Each names its suite and a
-perturbation of one model datum (a relation coefficient or a slice entry),
-which the suite reads through ``read(control, datum)``: perturbed in a run of
+perturbation of one model datum (a model's relation plus one, a slice entry or
+a blow-up's defining relation plus one), which the suite reads through
+``read(control, datum)``: the kring and homology suites read the declared S and
+S-prime rows, the centralizer suite each model. It is perturbed in a run of
 that control, unchanged otherwise. A perturbed blow-up is a new object, so
 only its read site sees it. Controlled runs must fail.
 """
@@ -41,8 +43,8 @@ from .blowup import (
 from .fractions import RingFraction
 from .fusion import consistency_sweep, fusion_table
 from .heisenberg import HeisenbergElement, commutes_at_q1, poisson_from_q, torus_monomial
-from .homology import BMRing
-from .kring import KRing, abstract_ring, dictionary_rederivations, subring_filter, v_dictionary
+from .homology import GRADING, basis_check, weight_of
+from .kring import KRing, dictionary_rederivations, subring_filter, v_dictionary
 from .poisson import bracket_closure_check, torus_chart
 from .poly import LaurentPoly, parse_poly
 from .reports import Config, Report, UsageError
@@ -65,11 +67,9 @@ def _shift_defining_relation(B: BlowupAlgebra) -> BlowupAlgebra:
 
 # control -> (its suite, the perturbation of the datum the suite reads under that name)
 CONTROLS: dict[str, tuple[str, Callable]] = {
-    "kring": ("kring", lambda relation: relation + 1),
-    "homology": ("homology", lambda ring: BMRing(ring.relation + 1)),
     **{
-        f"centralizer:{name}": ("centralizer", lambda m: replace(m, relation=m.relation + 1))
-        for name in ("S", "S-prime")
+        control: (control.partition(":")[0], lambda m: replace(m, relation=m.relation + 1))
+        for control in ("kring", "homology", "centralizer:S", "centralizer:S-prime")
     },
     "centralizer:slice": ("centralizer", lambda M: M + cz.ParametricMatrix([[0, 1], [0, 0]])),
     **{f"blowup:{flavor}": ("blowup", _shift_defining_relation) for flavor in FLAVORS},
@@ -185,7 +185,7 @@ def suite_centralizer(cfg: Config, read: Callable, blowup: Callable[[str], Blowu
     for (name, which), want in expected.items():
 
         def invariants():
-            got = {str(g) for g in cz.isogeny_invariants(cz.model(name, blowup), which)}
+            got = {str(g) for g in cz.isogeny_invariants(cz.declared(name), which)}
             return got == want, str(sorted(got))
 
         report.check(f"{name}: invariants under {'+'.join(which)} are {sorted(want)}", invariants)
@@ -194,8 +194,8 @@ def suite_centralizer(cfg: Config, read: Callable, blowup: Callable[[str], Blowu
 
 def suite_kring(cfg: Config, read: Callable, blowup: Callable[[str], BlowupAlgebra]) -> Report:
     report = Report("kring", cfg.timing)
-    star = read("kring", cz.model("S", blowup).relation)
-    ring = abstract_ring(star)
+    row = read("kring", cz.declared("S"))
+    ring = row.coordinate_ring()
     a, b, c = (parse_poly(s, vars=("a", "b", "c")) for s in "abc")
 
     def product_with_unit():
@@ -217,7 +217,7 @@ def suite_kring(cfg: Config, read: Callable, blowup: Callable[[str], BlowupAlgeb
 
     def regenerates():
         regenerated = a * b * c - (c * c + b * b + 1)
-        return regenerated == star, str(regenerated)
+        return regenerated == row.relation, str(regenerated)
 
     report.check("cubic product relation regenerates the model relation", regenerates)
     for name, thunk in dictionary_rederivations().items():
@@ -283,28 +283,22 @@ def suite_kring(cfg: Config, read: Callable, blowup: Callable[[str], BlowupAlgeb
 
 def suite_homology(cfg: Config, read: Callable, blowup: Callable[[str], BlowupAlgebra]) -> Report:
     report = Report("homology", cfg.timing)
-    ring = read("homology", BMRing())
+    row = read("homology", cz.declared("S-prime"))
     bound = 3
 
-    def grading():
-        g = ring.grading_check()
-        return g["homogeneous"], str(g["degrees"])
-
     def module_basis():
-        b = ring.basis_check(bound=bound)
+        b = basis_check(row.relation, bound)
         return b["passed"], f"count {b['count']}"
 
     def even_subalgebra():
-        got = {str(g) for g in ring.invariant_subalgebra()}
+        got = {str(g) for g in cz.isogeny_invariants(row)}
         return got == {"delta", "xi^2", "eta^2", "xi*eta"}, str(sorted(got))
 
     def matches_model():
-        m = cz.model("S-prime", blowup)
-        kernel = cz.model_kernel(m)
-        matches = cz.kernel_matches_relation(replace(m, relation=ring.relation), kernel)
-        return matches, "; ".join(str(p) for p in kernel.groebner())
+        kernel = cz.model_kernel(cz.model("S-prime", blowup))
+        return cz.kernel_matches_relation(row, kernel), "; ".join(str(p) for p in kernel.groebner())
 
-    report.check("grading: relation homogeneous of degree 0", grading)
+    report.check("grading: relation homogeneous of degree 0", lambda: (weight_of(row.relation) == 0, str(GRADING)))
     report.check(
         f"module basis: {2 * (bound + 1) ** 2} independent normal forms at bound {bound}", module_basis
     )

@@ -19,13 +19,14 @@ from blowring.centralizer import (
     model,
     model_kernel,
     closed_form_commutant_family,
+    declared,
     is_commutant_basis,
 )
 from blowring.fractions import RingFraction
 from blowring.fusion import consistency_sweep, fusion_table
 from blowring.heisenberg import HeisenbergElement, commutes_at_q1, poisson_from_q, torus_monomial
-from blowring.homology import BMRing
-from blowring.kring import abstract_ring, v_dictionary
+from blowring.homology import basis_check, weight_of
+from blowring.kring import v_dictionary
 from blowring.poisson import bracket_closure_check, torus_chart
 from blowring.poly import LaurentPoly, parse_poly
 from blowring.actions import GroupAction, Substitution, invariant_generators
@@ -82,7 +83,8 @@ def test_criterion_04_blowup_coincidence(blowups):
 
 
 def test_criterion_05_kring_relations():
-    ring = abstract_ring()
+    row = declared("S")
+    ring = row.coordinate_ring()
     a, b, c = (parse_poly(s, vars=("a", "b", "c")) for s in "abc")
     ok = ring.equal(c * v_dictionary(-1, 1), v_dictionary(0, 2) + 1)
     ok = ok and ring.equal(a * b, v_dictionary(1, 1) + v_dictionary(-1, 1))
@@ -91,7 +93,7 @@ def test_criterion_05_kring_relations():
         ok = ok and ring.equal(vn1 * vn1, v_dictionary(2 * n, 2))
     ok = ok and ring.equal(a * b * c, c * c + b * b + 1)
     regenerated = a * b * c - (c * c + b * b + 1)
-    ok = ok and regenerated == model("S").relation
+    ok = ok and regenerated == row.relation
     verdict(5, "basis-class products hold and the triple product regenerates the relation", ok)
 
 
@@ -179,11 +181,10 @@ def test_criterion_09_steinberg():
 
 
 def test_criterion_10_homology_ring():
-    ring = BMRing()
-    g = ring.grading_check()
-    b = ring.basis_check(bound=3)
-    inv = {str(x) for x in ring.invariant_subalgebra()}
-    ok = g["homogeneous"] and b["passed"] and b["count"] == 32
+    row = declared("S-prime")
+    b = basis_check(row.relation, bound=3)
+    inv = {str(x) for x in isogeny_invariants(row)}
+    ok = weight_of(row.relation) == 0 and b["passed"] and b["count"] == 32
     ok = ok and inv == {"delta", "xi^2", "eta^2", "xi*eta"}
     verdict(10, "grading homogeneous; 32 independent normal forms; subalgebra generators", ok)
 

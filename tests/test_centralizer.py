@@ -261,3 +261,24 @@ class TestInvolutionsPreserveRelations:
             ring = m.coordinate_ring()
             for sub in m.involutions.values():
                 assert ring.nf(sub(m.relation)).is_zero()
+
+
+def test_coordinate_readers_build_no_blowup(monkeypatch, capsys):
+    """Coordinates, relation and involutions come from the declared row, with no blow-up."""
+    import blowring.centralizer as centralizer
+    from blowring.centralizer import declared
+    from blowring.cli import main
+    from blowring.homology import basis_check
+    from blowring.kring import subring_filter
+
+    def no_build(datum, flavor):
+        raise AssertionError(f"a coordinate-only reader built the {flavor} blow-up")
+
+    monkeypatch.setattr(centralizer, "build_blowup", no_build)
+    assert main(["compute", "invariants", "--model", "S", "--which", "iota,jmath"]) == 0
+    assert capsys.readouterr().out.strip() == "a^2, b^2, c^2, a*b*c"
+    assert subring_filter(parse_poly("a"), "G") and not subring_filter(parse_poly("c"), "G")
+    row = declared("S'")
+    assert row is declared("S-prime") and row.name == "S-prime"
+    assert {str(g) for g in isogeny_invariants(row)} == {"delta", "xi^2", "eta^2", "xi*eta"}
+    assert basis_check(row.relation)["passed"]

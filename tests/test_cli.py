@@ -129,6 +129,12 @@ class TestCompute:
         assert out.strip() == "a^2, b^2, c^2"
         assert err.startswith("note: ") and "may be incomplete" in err
 
+    @pytest.mark.parametrize("task", ["kernel", "invariants"])
+    def test_alias_prints_the_canonical_model_name(self, capsys, task):
+        code, out, _ = run_cli(capsys, "compute", task, "--model", "S'", "--output", "json")
+        assert code == EXIT_OK
+        assert json.loads(out)["model"] == "S-prime"
+
     @pytest.mark.parametrize(
         "argv",
         [

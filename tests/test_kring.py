@@ -1,12 +1,12 @@
 import pytest
 
+from blowring.centralizer import declared
 from blowring.fractions import RingFraction
 from blowring.kring import (
     KRing,
     KRingError,
     NotDerivableError,
     VClass,
-    abstract_ring,
     dictionary_rederivations,
     subring_filter,
     v_dictionary,
@@ -18,7 +18,7 @@ from conftest import record_realignments
 
 y, z = LaurentPoly.gens("y z")
 a, b, c = (parse_poly(s, vars=("a", "b", "c")) for s in "abc")
-RING = abstract_ring()
+RING = declared("S").coordinate_ring()
 
 
 class TestVClass:

@@ -19,6 +19,10 @@ its own definition and the package's re-exports: a name only tests call is
 dead code, even if ``__init__.py`` re-exports it. The scan matches methods by
 bare name, so the method names that several classes define are pinned: a new
 one fails until each owner's caller is checked by hand.
+
+Each model relation is written once, in its ``centralizer.MODELS`` row; every
+other module reads the declared row, so no string outside a docstring repeats
+a relation text.
 """
 
 import ast
@@ -27,6 +31,7 @@ from pathlib import Path
 
 import pytest
 
+from blowring.centralizer import MODELS
 from blowring.scalars import GaussianRational
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "blowring"
@@ -216,3 +221,24 @@ def _unused_imports(tree):
 def test_every_import_is_read(path):
     unused = _unused_imports(ast.parse(path.read_text(), filename=path.name))
     assert not unused, f"{path.name} imports {unused} without reading them"
+
+
+def _docstrings(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant):
+                yield first.value
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SRC.glob("*.py") if p.name != "centralizer.py"))
+def test_each_model_relation_is_declared_once(name):
+    texts = {relation for _, _, relation, _, _ in MODELS.values() if relation}
+    tree = _tree(name)
+    docstrings = {id(node) for node in _docstrings(tree)}
+    copies = [
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and node.value in texts and id(node) not in docstrings
+    ]
+    assert not copies, f"{name} writes the declared relation {copies} a second time"
