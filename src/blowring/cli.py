@@ -12,18 +12,11 @@ import json
 import sys
 from dataclasses import fields, replace
 
-from .blowup import FLAVORS, build_blowup, membership
-from .centralizer import MODEL_NAMES, declared, kernel_matches_relation, model, model_kernel
-from .actions import invariant_generators
-from .fractions import RingFraction, parse_fraction
-from .fusion import fusion_table
+from .blowup import FLAVORS
+from .centralizer import MODEL_NAMES
 from .groebner import ResourceLimitError, term_budget
-from .kring import KRing
-from .poisson import bracket_closure_check, standard_chart
 from .poly import PolyParseError, parse_poly
 from .reports import Config, UsageError
-from .rootdata import sl2
-from .verify import CONTROLS, SUITES, run_suite
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -51,12 +44,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     v = sub.add_parser("verify", help="run a verification suite", parents=[common])
-    v.add_argument("suite", choices=SUITES)
-    v.add_argument(
-        "--corrupt",
-        help=f"negative control: perturb the model datum it names ({', '.join(sorted(CONTROLS))}); "
-        "its suite must then fail",
-    )
+    v.add_argument("suite", help="a suite name, or all")
+    v.add_argument("--corrupt", help="negative control: perturb the model datum it names; its suite must then fail")
 
     c = sub.add_parser("compute", help="run one computation", parents=[common])
     c.add_argument("task", choices=tuple(COMPUTE_TASKS))
@@ -87,6 +76,8 @@ def make_config(args) -> tuple[Config, set[str]]:
 
 
 def cmd_verify(args, cfg: Config) -> int:
+    from .verify import run_suite
+
     report = run_suite(args.suite, cfg, corrupt=args.corrupt)
     print(report.render(cfg.output))
     return EXIT_OK if report.ok else EXIT_FAIL
@@ -107,9 +98,12 @@ def _require(condition, message):
         raise UsageError(message)
 
 
-def _parse_fractions(texts, allowed, where: str, parse=parse_fraction, units=None):
+def _parse_fractions(texts, allowed, where: str, parse=None, units=None):
     """Parse fraction arguments, rejecting any variable outside ``allowed`` and,
     when ``units`` is given, a negative power of any variable outside it."""
+    from .fractions import RingFraction, parse_fraction
+
+    parse = parse or parse_fraction
     fracs = []
     for text in texts:
         try:
@@ -125,6 +119,8 @@ def _parse_fractions(texts, allowed, where: str, parse=parse_fraction, units=Non
 
 
 def _compute_kernel(args, cfg) -> int:
+    from .centralizer import kernel_matches_relation, model, model_kernel
+
     _require(args.model, "kernel requires --model")
     m = model(args.model)
     kernel = model_kernel(m)
@@ -135,6 +131,9 @@ def _compute_kernel(args, cfg) -> int:
 
 
 def _compute_invariants(args, cfg) -> int:
+    from .actions import invariant_generators
+    from .centralizer import declared
+
     _require(args.model, "invariants requires --model")
     row = declared(args.model)
     action = row.action(w for w in args.which.split(",") if w)
@@ -150,6 +149,9 @@ def _compute_invariants(args, cfg) -> int:
 
 
 def _compute_multiply(args, cfg) -> int:
+    from .fractions import parse_fraction
+    from .kring import KRing
+
     K = KRing()
     units, others = {
         "abstract": ((), ("a", "b", "c")),
@@ -168,6 +170,11 @@ def _compute_multiply(args, cfg) -> int:
 
 
 def _compute_bracket(args, cfg) -> int:
+    from .blowup import build_blowup, membership
+    from .fractions import RingFraction
+    from .poisson import standard_chart
+    from .rootdata import sl2
+
     _require(args.flavor, "bracket requires --flavor")
     B = build_blowup(sl2(), args.flavor)
     chart = standard_chart(B, args.kappa)
@@ -188,6 +195,10 @@ def _compute_bracket(args, cfg) -> int:
 
 
 def _compute_closure(args, cfg) -> int:
+    from .blowup import build_blowup
+    from .poisson import bracket_closure_check
+    from .rootdata import sl2
+
     _require(args.flavor, "closure requires --flavor")
     B = build_blowup(sl2(), args.flavor)
     report = bracket_closure_check(B, kappa=args.kappa)
@@ -202,6 +213,9 @@ def _compute_closure(args, cfg) -> int:
 
 
 def _compute_membership(args, cfg) -> int:
+    from .blowup import build_blowup, membership
+    from .rootdata import sl2
+
     _require(args.flavor, "membership requires --flavor")
     B = build_blowup(sl2(), args.flavor)
     ring_vars = B.ring.laurent_vars + B.ring.poly_vars
@@ -217,6 +231,8 @@ def _compute_membership(args, cfg) -> int:
 
 
 def _compute_table(args, cfg) -> int:
+    from .fusion import fusion_table
+
     _require(args.kind, "table requires --kind")
     params = {k: getattr(args, k) for k in (("a", "b", "l") if args.kind == "tri" else ("n", "l"))}
     _require(None not in params.values(), f"{args.kind} requires " + " ".join(f"--{k}" for k in params))

@@ -35,15 +35,11 @@ def basis_check(relation: LaurentPoly, bound: int = 3) -> dict:
         LaurentPoly.monomial(1, {"delta": p, "eta": r, "xi": s}).with_vars(vars)
         for p in range(bound + 1) for r in range(bound + 1) for s in (0, 1)
     ]
-    reduced = [ideal.normal_form(m) for m in monomials]
-    all_normal = all(m == r for m, r in zip(monomials, reduced))
-    distinct = len({r._canonical_items() for r in reduced}) == len(monomials)
+    all_normal = all(ideal.normal_form(m) == m for m in monomials)
     return {
         "bound": bound,
         "count": len(monomials),
-        "expected": 2 * (bound + 1) ** 2,
         "all_normal_forms": all_normal,
-        "independent": distinct,
         "xi^2": str(ideal.normal_form(LaurentPoly.monomial(1, {"xi": 2}).with_vars(vars))),
-        "passed": all_normal and distinct and len(monomials) == 2 * (bound + 1) ** 2,
+        "passed": all_normal,
     }

@@ -34,6 +34,12 @@ class TestModuleBasis:
     def test_bound_three_is_thirty_two(self):
         assert basis_check(ROW.relation, 3)["count"] == 32
 
+    def test_relation_with_a_basis_lead_fails(self):
+        # delta*eta leads delta*eta - 1 in the xi-first order, so a basis monomial is no normal form
+        report = basis_check(parse_poly("delta*eta - 1", vars=ROW.coords), 1)
+        assert not report["passed"]
+        assert report["count"] == 8
+
     def test_xi_square_reduces(self):
         # xi^2 itself is not a normal form: it rewrites to delta eta^2 + 1
         assert basis_check(ROW.relation, 1)["xi^2"] == "delta*eta^2 + 1"

@@ -201,8 +201,7 @@ def test_shared_method_names_are_pinned():
 
 
 TESTS = SRC.parent.parent / "tests"
-# the package's __init__ imports only to re-export
-IMPORTING_MODULES = [p for p in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")) if p.name != "__init__.py"]
+IMPORTING_MODULES = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
 
 
 def _unused_imports(tree):
